@@ -62,6 +62,7 @@ from .fitting import (
     find_separating_direction,
     fit_mle,
     newton_fit,
+    refit_many,
 )
 from .intervals import (
     IntervalSet,

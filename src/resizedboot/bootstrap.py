@@ -9,17 +9,17 @@ per-coordinate spread sigma_hat and the common inflation factor alpha_hat.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import TooManyFailuresError, ZeroMleError
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, newton_fit
+from .fitting import Dataset, FitOptions, FitResult, FitStatus, refit_many
 from .rng import substream
 from .signal_strength import sd_linear_predictor
 
 _BOOT_STREAM = 29  # spawn-key namespace for per-replicate substreams
+_RESPONSE_BYTES = 1 << 18  # simulated responses held at once
 
 
 @dataclass(frozen=True)
@@ -128,35 +128,33 @@ def run_bootstrap(
     *,
     fit_options: FitOptions = FitOptions(),
     fail_fraction: float = 0.2,
-    threads: int = 1,
 ) -> BootstrapSummary:
     """Simulate B datasets at beta_star, refit each, and summarise.
 
-    Failed replicates (separable or non-converged) are discarded and
-    counted, never retried. More than ``fail_fraction`` failures aborts:
-    that many non-existent bootstrap MLEs signal a design at or over the
-    phase boundary.
+    Replicate b draws its responses from its own substream, and the
+    replicates are simulated and refitted by ``refit_many`` in chunks, so
+    replicate b's MLE depends neither on B nor on the chunking. Failed
+    replicates (separable or non-converged) are discarded and counted,
+    never retried. More than ``fail_fraction`` failures aborts: that many
+    non-existent bootstrap MLEs signal a design at or over the phase
+    boundary.
     """
     if B < 2:
         raise ValueError("B must be at least 2")
     beta_star = np.asarray(resized.beta_star, dtype=np.float64)
     t_star = data.X @ beta_star
-
-    def one_replicate(b: int) -> np.ndarray | None:
-        rng = substream(seed, _BOOT_STREAM, b)
-        y_b = data.family.simulate(t_star, rng)
-        res = newton_fit(data.X, y_b, data.family, fit_options, beta0=beta_star)
-        if res.status is FitStatus.CONVERGED:
-            return res.beta_hat
-        return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_replicate, range(B)))
-    else:
-        results = [one_replicate(b) for b in range(B)]
-
-    kept = [r for r in results if r is not None]
+    chunk = max(1, _RESPONSE_BYTES // (8 * data.n))
+    kept = []
+    for lo in range(0, B, chunk):
+        Y = np.array([
+            data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b))
+            for b in range(lo, min(lo + chunk, B))
+        ])
+        betas, statuses = refit_many(data.X, Y, data.family, beta_star, fit_options)
+        kept.extend(
+            beta for beta, status in zip(betas, statuses)
+            if status is FitStatus.CONVERGED
+        )
     n_failed = B - len(kept)
     if n_failed > fail_fraction * B:
         raise TooManyFailuresError(n_failed, B)

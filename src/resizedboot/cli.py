@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from .intervals import boot_g_ci, boot_t_ci, classical_se, classical_wald_ci
 from .rng import child_seed
 from .serialize import SCHEMA_VERSION, fmt, write_csv, write_json
 from .signal_strength import estimate_gamma
-from .sloe import sloe_estimate
 
 _GAMMA_KEY, _BOOT_KEY, _PARAM_KEY, _PAIRS_KEY = 3, 4, 5, 6
 
@@ -240,20 +238,19 @@ def cmd_infer(args) -> int:
     methods = args.method or ["classical", "boot-g", "boot-t"]
     B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
     fit = _fit_or_fail(data)
-    eta_tilde = sloe_estimate(data, fit).eta_hat
-    if args.known_gamma is not None:
-        gamma_hat = float(args.known_gamma)
-    else:
-        gamma_hat = estimate_gamma(
-            data, fit, grid_size=args.grid, reps=args.reps,
-            seed=child_seed(args.seed, _GAMMA_KEY),
-        ).gamma_hat
-    resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)
-    summary = None
+    # the signal strength and the resized coefficients serve boot-g/boot-t only
+    gamma_hat = eta_tilde = resized = summary = None
     if {"boot-g", "boot-t"}.intersection(methods):
-        summary = run_bootstrap(
-            data, resized, B, child_seed(args.seed, _BOOT_KEY), threads=args.threads
-        )
+        if args.known_gamma is not None:
+            gamma_hat = float(args.known_gamma)
+        else:
+            curve = estimate_gamma(
+                data, fit, grid_size=args.grid, reps=args.reps,
+                seed=child_seed(args.seed, _GAMMA_KEY),
+            )
+            gamma_hat, eta_tilde = curve.gamma_hat, curve.eta_tilde
+        resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)
+        summary = run_bootstrap(data, resized, B, child_seed(args.seed, _BOOT_KEY))
     baselines = {
         m: baseline_bootstraps(
             data, fit, B, m,
@@ -289,7 +286,7 @@ def cmd_infer(args) -> int:
             "sigma_hat": summary.sigma_hat if summary else None,
             "gamma_hat": gamma_hat,
             "eta_tilde": eta_tilde,
-            "scale_s": resized.scale_s,
+            "scale_s": resized.scale_s if resized else None,
             "n_failed": summary.n_failed if summary else 0,
             "seed": args.seed,
             "schema_version": SCHEMA_VERSION,
@@ -337,7 +334,6 @@ def cmd_coverage(args) -> int:
         grid_size=args.grid,
         reps=args.reps,
         fix_x=args.fix_x,
-        threads=args.threads,
     )
     write_json(out / "coverage.json", report.to_json_dict())
     write_csv(
@@ -391,8 +387,6 @@ def cmd_curve(args) -> int:
 def _add_common(sp, data_source: bool, design_only: bool = False) -> None:
     sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads for bootstrap refits")
     if design_only:
         sp.add_argument("--design", required=True,
                         help=f"named design {sorted(DESIGN_NAMES)} or JSON file")

@@ -263,7 +263,6 @@ def run_coverage(
     reps: int = 2,
     fix_x: bool = False,
     fit_options: FitOptions = FitOptions(),
-    threads: int = 1,
     max_rep_failure_fraction: float = 0.2,
 ) -> CoverageReport:
     """Coverage experiment over ``n_reps`` fresh datasets from ``design``.
@@ -333,7 +332,6 @@ def run_coverage(
                     B,
                     child_seed(seed, _BOOT_KEY, rep),
                     fit_options=fit_options,
-                    threads=threads,
                 )
                 summaries["resized"] = (rs, resized.beta_star)
             if "parametric" in methods:

@@ -93,10 +93,12 @@ def classical_wald_ci(fit: FitResult, level: float) -> IntervalSet:
 
 
 def classical_se(fit: FitResult) -> np.ndarray:
-    """sqrt of the diagonal of the inverse Hessian; raises if H is singular."""
-    chol = linalg.cho_factor(fit.hessian, lower=True)
-    inv = linalg.cho_solve(chol, np.eye(fit.hessian.shape[0]))
-    return np.sqrt(np.diag(inv))
+    """sqrt of the diagonal of the inverse Hessian H^-1 = L^-T L^-1, from
+    the converged fit's Cholesky factor L: column norms of L^-1."""
+    if fit.chol is None:
+        raise ValueError(f"classical_se requires a converged fit, got {fit.status.value}")
+    L_inv, _ = linalg.lapack.dtrtri(fit.chol, lower=1)
+    return np.sqrt(np.einsum("ij,ij->j", L_inv, L_inv))
 
 
 def boot_g_ci(fit: FitResult, summary: "BootstrapSummary", level: float) -> IntervalSet:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CurveNotBracketingError, FitFailedError, ResizedBootError
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, newton_fit
+from .fitting import Dataset, FitOptions, FitResult, FitStatus, refit_many
 from .rng import substream
-from .sloe import sloe_estimate
+from .sloe import sloe_estimate, sloe_from_factor
 
 _KNOT_STREAM = 17  # spawn-key namespace for knot/replicate substreams
 
@@ -158,23 +158,28 @@ def estimate_gamma(
     s_grid = np.linspace(0.0, 1.0, grid_size)
     gamma_grid = s_grid * gamma_full
 
-    eta_samples = np.full((grid_size, reps), np.nan)
+    # knot-major: replicate j of knot i is row i * reps + j
+    Y = np.empty((grid_size * reps, data.n))
+    beta0 = np.empty((grid_size * reps, data.p))
     for i, s in enumerate(s_grid):
         beta_s = s * fit.beta_hat
         if data.has_intercept:
             beta_s[0] = fit.beta_hat[0]
         t_s = data.X @ beta_s
         for j in range(reps):
-            rng = substream(seed, _KNOT_STREAM, i, j)
-            y_sim = data.family.simulate(t_s, rng)
-            sub_fit = newton_fit(data.X, y_sim, data.family, fit_options, beta0=beta_s)
-            if sub_fit.status is not FitStatus.CONVERGED:
-                continue
-            sub_data = Dataset(data.X, y_sim, data.family, data.has_intercept)
-            try:
-                eta_samples[i, j] = sloe_estimate(sub_data, sub_fit).eta_hat
-            except ResizedBootError:
-                continue
+            Y[i * reps + j] = data.family.simulate(t_s, substream(seed, _KNOT_STREAM, i, j))
+            beta0[i * reps + j] = beta_s
+
+    etas = np.full(grid_size * reps, np.nan)
+
+    def record(b, t, chol):
+        try:
+            etas[b] = sloe_from_factor(data.X, Y[b], data.family, t, chol).eta_hat
+        except ResizedBootError:
+            pass
+
+    refit_many(data.X, Y, data.family, beta0, fit_options, on_converged=record)
+    eta_samples = etas.reshape(grid_size, reps)
 
     keep = ~np.isnan(eta_samples)
     n_failed = int((~keep).sum())

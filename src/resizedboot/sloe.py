@@ -20,6 +20,7 @@ import numpy as np
 from scipy import linalg
 
 from .exceptions import FitFailedError, LeverageDegenerateError
+from .families import Family
 from .fitting import Dataset, FitOptions, FitResult, FitStatus, fit_mle
 
 
@@ -36,11 +37,29 @@ def sloe_estimate(
     """Leave-one-out estimate of eta = sd of a new observation's x' beta_hat."""
     if fit.status is not FitStatus.CONVERGED:
         raise ValueError(f"sloe_estimate requires a converged fit, got {fit.status.value}")
-    t = fit.eta_lin
-    d1 = data.family.d1(data.y, t)
-    d2 = data.family.d2(data.y, t)
-    L = linalg.cholesky(fit.hessian, lower=True)
-    Z = linalg.solve_triangular(L, data.X.T, lower=True)
+    return sloe_from_factor(
+        data.X, data.y, data.family, fit.eta_lin, fit.chol, leverage_guard=leverage_guard
+    )
+
+
+def sloe_from_factor(
+    X: np.ndarray,
+    y: np.ndarray,
+    family: Family,
+    t: np.ndarray,
+    chol: np.ndarray,
+    *,
+    leverage_guard: float = 1e-8,
+) -> SloeEstimate:
+    """``sloe_estimate`` from a converged fit's linear predictor ``t`` and
+    the lower Cholesky factor ``chol`` of its Hessian."""
+    d1 = family.d1(y, t)
+    d2 = family.d2(y, t)
+    # Z = L^-1 X' through the inverted triangle rather than a triangular
+    # solve: at p=40, n=400, with OpenBLAS 0.3.31 running 2-way parallel on
+    # a 2-vCPU machine, the solve took 8 ms and this 0.1 ms
+    L_inv, _ = linalg.lapack.dtrtri(chol, lower=1)
+    Z = L_inv @ X.T
     w = np.einsum("ij,ij->j", Z, Z)  # x_i' H^-1 x_i without forming H^-1
     denom = 1.0 - w * d2
     if np.any(denom <= leverage_guard):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import resizedboot.bootstrap as bootstrap
+import resizedboot.fitting as fitting
 from resizedboot import (
     Dataset,
     ResizedCoefficients,
@@ -125,12 +127,22 @@ def test_bootstrap_determinism_and_shape(small_fit):
     assert a.alpha_hat > 0
 
 
-def test_bootstrap_threads_match_sequential(small_fit):
+def test_bootstrap_replicates_do_not_depend_on_b_or_blocking(small_fit, monkeypatch):
+    # replicate b's MLE is the same whether B is 31 or 24, and whether the
+    # replicates are refitted in one lockstep block or in blocks of 1 or 7,
+    # simulated in one chunk or in chunks of 5
     data, _, fit = small_fit
     rz = resize(fit, 0.8 * sd_linear_predictor(data.X, fit.beta_hat), data.X)
-    seq = run_bootstrap(data, rz, B=24, seed=11, threads=1)
-    par = run_bootstrap(data, rz, B=24, seed=11, threads=3)
-    np.testing.assert_array_equal(seq.boot_mles, par.boot_mles)
+    whole = run_bootstrap(data, rz, B=31, seed=11)
+    assert whole.n_failed == 0
+    monkeypatch.setattr(bootstrap, "_RESPONSE_BYTES", 5 * 8 * data.n)
+    for rows in (1, 7):
+        monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
+        part = run_bootstrap(data, rz, B=24, seed=11)
+        assert part.n_failed == 0
+        np.testing.assert_allclose(
+            part.boot_mles, whole.boot_mles[:24], rtol=0, atol=1e-10
+        )
 
 
 def test_bootstrap_rejects_tiny_b(small_fit):

@@ -130,6 +130,7 @@ def test_infer_known_gamma_and_boot_dump(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["gamma_hat"] == 1.3
+    assert summary["eta_tilde"] is None  # known gamma: no curve is run
     dump = (tmp_path / "boot_mles.csv").read_text().splitlines()
     assert dump[1].startswith("beta0")
     assert len(dump) == 2 + 50 - summary["n_failed"]
@@ -149,6 +150,33 @@ def test_infer_errors_as_json_on_separable_data(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["type"] == "ResizedBootError"
     assert "separable" in err["error"]["message"]
+
+
+def test_infer_classical_skips_gamma_and_matches_fit(tmp_path):
+    # a strong signal whose eta(gamma) curve does not bracket eta_tilde:
+    # estimating gamma here raises, but classical intervals do not need it
+    rng = np.random.default_rng(48)
+    n, p = 200, 30
+    X = rng.standard_normal((n, p)) / np.sqrt(p)
+    beta = 4 * rng.standard_normal(p)
+    y = rng.random(n) < 1.0 / (1.0 + np.exp(-X @ beta))
+    data_csv = tmp_path / "strong.csv"
+    data_csv.write_text(
+        "y," + ",".join(f"x{j}" for j in range(p)) + "\n"
+        + "".join(
+            f"{int(y[i])}," + ",".join(repr(float(v)) for v in X[i]) + "\n"
+            for i in range(n)
+        )
+    )
+    common = ["--data", str(data_csv), "--family", "logistic", "--seed", "1"]
+    assert main(["infer", *common, "--method", "classical", "--out", str(tmp_path / "inf")]) == 0
+    assert main(["fit", *common, "--out", str(tmp_path / "fit")]) == 0
+    assert _read(tmp_path / "inf" / "intervals.csv") == _read(tmp_path / "fit" / "intervals.csv")
+    summary = json.loads((tmp_path / "inf" / "summary.json").read_text())
+    assert summary["gamma_hat"] is None
+    assert summary["eta_tilde"] is None
+    assert summary["scale_s"] is None
+    assert summary["alpha_hat"] is None
 
 
 def test_data_requires_family(tmp_path, capsys):

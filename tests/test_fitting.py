@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import resizedboot.fitting as fitting
 from resizedboot import (
     Dataset,
     DatasetError,
@@ -9,6 +10,8 @@ from resizedboot import (
     find_separating_direction,
     fit_mle,
     get_family,
+    newton_fit,
+    refit_many,
 )
 
 from conftest import simulate_logistic
@@ -155,3 +158,92 @@ def test_poisson_fit_matches_oracle():
     assert fit.status is FitStatus.CONVERGED
     reference = first_order_minimize(X, y, get_family("poisson-log"))
     np.testing.assert_allclose(fit.beta_hat, reference, atol=1e-6)
+
+
+# ------------------------------------------------- lockstep engine vs newton_fit
+
+def _engine_cases(family_name):
+    """(X, Y, beta0, opts) cases whose replicates end in every status:
+    converged, separable (binary), max_iter, and a duplicate column's
+    singular Hessian. Tight separability thresholds make the coefficient
+    norm and objective rules fire on binary replicates that are not
+    separated. The last case starts far below an intercept, where Poisson
+    line-search steps overflow exp(). beta0 has one row per replicate."""
+    family = get_family(family_name)
+    rng = np.random.default_rng(12)
+    n, p = 60, 4
+    X = rng.standard_normal((n, p)) / np.sqrt(p)
+    beta = np.array([1.5, -1.0, 0.5, 0.0])
+    if family.is_binary:
+        beta = 2.0 * beta
+    Y = np.array([family.simulate(X @ beta, rng) for _ in range(24)])
+    if family.is_binary:
+        Y[::5] = np.where(X[:, 0] > 0, 1.0, -1.0)  # strictly separated
+    else:
+        Y[::5] = 0.0  # the MLE runs off to -infinity
+    beta0 = np.array([s * beta for s in np.linspace(0.0, 1.5, Y.shape[0])])
+    dup = np.column_stack([X[:, :2], X[:, 1]])
+    X1 = np.column_stack([np.ones(n), X[:, 1:]])
+    Y1 = np.array([family.simulate(X1 @ beta, rng) for _ in range(6)])
+    far = np.tile([-20.0, 0.0, 0.0, 0.0], (6, 1))
+    return [
+        (X, Y, beta0, FitOptions()),
+        (X, Y, beta0, FitOptions(max_iter=2)),
+        (X, Y, beta0, FitOptions(separable_beta_norm=5.0, separable_objective=0.4)),
+        (dup, Y, beta0[:, :3], FitOptions()),
+        (X1, Y1, far, FitOptions()),
+    ]
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-replicate"])
+@pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
+def test_refit_many_matches_newton_fit(family_name, stacked, monkeypatch):
+    if not stacked:
+        monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family(family_name)
+    seen = set()
+    for X, Y, beta0, opts in _engine_cases(family_name):
+        factors = {}
+        betas, statuses = refit_many(
+            X, Y, family, beta0, opts,
+            on_converged=lambda b, t, chol: factors.setdefault(b, (t, chol)),
+        )
+        for b in range(Y.shape[0]):
+            ref = newton_fit(X, Y[b], family, opts, beta0=beta0[b])
+            assert statuses[b] is ref.status, (b, statuses[b], ref.status)
+            seen.add(ref.status)
+            if ref.status is FitStatus.CONVERGED:
+                np.testing.assert_allclose(betas[b], ref.beta_hat, rtol=0, atol=1e-6)
+                t, chol = factors.pop(b)
+                np.testing.assert_allclose(t, ref.eta_lin, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(chol, ref.chol, rtol=1e-6, atol=1e-9)
+        assert not factors  # reported only for converged replicates
+    expected = {FitStatus.CONVERGED, FitStatus.MAX_ITER, FitStatus.SINGULAR_HESSIAN}
+    if family.is_binary:
+        expected.add(FitStatus.SEPARABLE)
+    assert seen == expected
+
+
+def test_refit_many_does_not_depend_on_blocking():
+    data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
+    rng = np.random.default_rng(6)
+    Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(23)])
+    whole, statuses = refit_many(data.X, Y, data.family, beta)
+    assert all(s is FitStatus.CONVERGED for s in statuses)
+    for size in (1, 7):
+        parts = [
+            refit_many(data.X, Y[lo:lo + size], data.family, beta)[0]
+            for lo in range(0, Y.shape[0], size)
+        ]
+        np.testing.assert_allclose(np.vstack(parts), whole, rtol=0, atol=1e-10)
+
+
+def test_fit_keeps_its_cholesky_factor():
+    data, _ = simulate_logistic(150, 6, seed=13)
+    fit = fit_mle(data)
+    np.testing.assert_allclose(fit.chol @ fit.chol.T, fit.hessian, atol=1e-12)
+    assert np.all(np.triu(fit.chol, 1) == 0.0)
+    separated = fit_mle(
+        Dataset(X=np.array([[-1.0], [1.0]]), y=np.array([-1.0, 1.0]), family="logistic")
+    )
+    assert separated.chol is None

@@ -22,15 +22,17 @@ Z975 = float(special.ndtri(0.975))
 
 def _fit_stub(beta, hessian):
     beta = np.asarray(beta, dtype=float)
+    hessian = np.asarray(hessian, dtype=float)
     return FitResult(
         beta_hat=beta,
         eta_lin=np.zeros(1),
-        hessian=np.asarray(hessian, dtype=float),
+        hessian=hessian,
         status=FitStatus.CONVERGED,
         grad_norm=0.0,
         objective=0.0,
         n_iter=0,
         objective_trace=np.zeros(1),
+        chol=np.linalg.cholesky(hessian),
     )
 
 

@@ -169,23 +169,22 @@ def test_parameter_validation(gamma_case):
 
 
 def test_knot_with_all_failed_replicates_is_dropped(monkeypatch):
-    # replicates run in a fixed order (knot-major), so failing one knot's
-    # refits exercises the drop-and-continue path deterministically
+    # replicates are laid out knot-major, so failing one knot's refits
+    # exercises the drop-and-continue path deterministically
     data, _ = simulate_logistic(200, 10, seed=8)
     fit = fit_mle(data)
     grid_size, reps = 6, 2
-    real = ss.newton_fit
-    calls = {"n": 0}
+    real = ss.refit_many
 
-    def flaky(X, y, family, opts, beta0=None):
-        idx = calls["n"]
-        calls["n"] += 1
-        res = real(X, y, family, opts, beta0=beta0)
-        if idx // reps == 2:  # every replicate of knot 2
-            res.status = ss.FitStatus.MAX_ITER
-        return res
+    def flaky(X, Y, family, beta0, opts, *, on_converged):
+        # the curve learns of a converged replicate only through the callback
+        def report(b, t, chol):
+            if b // reps != 2:  # every replicate of knot 2 fails
+                on_converged(b, t, chol)
 
-    monkeypatch.setattr(ss, "newton_fit", flaky)
+        return real(X, Y, family, beta0, opts, on_converged=report)
+
+    monkeypatch.setattr(ss, "refit_many", flaky)
     curve = estimate_gamma(data, fit, grid_size=grid_size, reps=reps, seed=77)
     assert curve.n_failed == reps
     assert curve.smooth_gamma.shape == (grid_size - 1,)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import scipy_blas_single_thread
 from .bootstrap import run_bootstrap, resize
 from .coverage import METHODS, baseline_bootstraps, run_coverage
 from .designs import DESIGN_NAMES, DesignSpec, generate_dataset, named_design
@@ -44,7 +45,7 @@ def parse_dataset_csv(path, family, has_intercept: bool = False) -> Dataset:
     numeric covariate columns after. Lines starting with '#' are skipped.
     When ``has_intercept`` is set, a column of ones is prepended."""
     family = get_family(family)
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     line_numbers: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = None
@@ -84,13 +85,16 @@ def parse_dataset_csv(path, family, has_intercept: bool = False) -> Dataset:
                         "non-finite value rejected"
                     )
                 vals.append(v)
-            rows.append(vals)
+            rows.append(np.array(vals))
             line_numbers.append(lineno)
     if header is None:
         raise CsvParseError(f"{path}: empty file")
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
+    # rows are kept as float64 arrays, as lists of Python floats would take
+    # about 4x the memory, and are dropped once stacked
+    arr = np.stack(rows)
+    del rows
     y, X = arr[:, 0], arr[:, 1:]
     try:
         family.validate_y(y)
@@ -463,7 +467,9 @@ def main(argv=None) -> int:
                 print(_error_json(ValueError(f"--level must be in (0,1); got {lv}")))
                 return 1
     try:
-        return args.func(args)
+        # process-wide thread state belongs to the application, not the library
+        with scipy_blas_single_thread():
+            return args.func(args)
     except (ResizedBootError, OSError, ValueError) as exc:
         print(_error_json(exc))
         return 1

@@ -132,7 +132,9 @@ _PIVOT_RTOL = 1e-11
 def _factor(H: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of H, or None if H is not numerically positive
     definite. LAPACK is called directly: at small p the scipy wrappers cost
-    more than the factorisation."""
+    more than the factorisation (at p=40, 12-14 us for ``dpotrf`` against
+    22-45 us for ``linalg.cholesky``/``cho_factor``, SciPy's OpenBLAS on
+    one thread)."""
     L, info = linalg.lapack.dpotrf(H, lower=1, clean=1)
     d = L.diagonal()
     if info != 0 or (d * d <= _PIVOT_RTOL * H.diagonal()).any():

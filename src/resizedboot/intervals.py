@@ -94,7 +94,9 @@ def classical_wald_ci(fit: FitResult, level: float) -> IntervalSet:
 
 def classical_se(fit: FitResult) -> np.ndarray:
     """sqrt of the diagonal of the inverse Hessian H^-1 = L^-T L^-1, from
-    the converged fit's Cholesky factor L: column norms of L^-1."""
+    the converged fit's Cholesky factor L: column norms of L^-1. Only the
+    diagonal is needed, so the one triangular inverse is enough; ``dpotri``
+    would go on to form all of H^-1."""
     if fit.chol is None:
         raise ValueError(f"classical_se requires a converged fit, got {fit.status.value}")
     L_inv, _ = linalg.lapack.dtrtri(fit.chol, lower=1)

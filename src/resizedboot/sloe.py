@@ -55,9 +55,11 @@ def sloe_from_factor(
     the lower Cholesky factor ``chol`` of its Hessian."""
     d1 = family.d1(y, t)
     d2 = family.d2(y, t)
-    # Z = L^-1 X' through the inverted triangle rather than a triangular
-    # solve: at p=40, n=400, with OpenBLAS 0.3.31 running 2-way parallel on
-    # a 2-vCPU machine, the solve took 8 ms and this 0.1 ms
+    # Z = L^-1 X' through the inverted triangle and one matrix product
+    # rather than a triangular solve against n right-hand sides: with SciPy's
+    # OpenBLAS on one thread, on 2 vCPUs, this took 0.05 ms against 0.19 ms
+    # for ``solve_triangular`` at p=40, n=400, and 16 ms against 47 ms at
+    # p=400, n=4000
     L_inv, _ = linalg.lapack.dtrtri(chol, lower=1)
     Z = L_inv @ X.T
     w = np.einsum("ij,ij->j", Z, Z)  # x_i' H^-1 x_i without forming H^-1

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resizedboot
 from resizedboot import CsvParseError, fit_mle
 from resizedboot.cli import export_dataset_csv, main, parse_dataset_csv
 
@@ -70,6 +75,23 @@ def test_parse_rejects_non_numeric_cell(tmp_path):
     f.write_text("y,x0\n1.0,0.2\n0.0,oops\n")
     with pytest.raises(CsvParseError, match="line 3.*oops"):
         parse_dataset_csv(f, "logistic")
+
+
+def test_parse_peak_memory_stays_near_the_array(tmp_path):
+    rng = np.random.default_rng(3)
+    n, p = 2000, 100
+    f = tmp_path / "big.csv"
+    with open(f, "w", encoding="utf-8") as fh:
+        fh.write("y," + ",".join(f"x{j}" for j in range(p)) + "\n")
+        for row in rng.standard_normal((n, p)):
+            fh.write(f"{rng.integers(2)}," + ",".join(repr(float(v)) for v in row) + "\n")
+    tracemalloc.start()
+    try:
+        parse_dataset_csv(f, "logistic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * (p + 1) * 8
 
 
 def test_export_then_parse_round_trips_fit_bitwise(tmp_path):
@@ -274,6 +296,25 @@ def test_commands_are_byte_deterministic(tmp_path, argv):
     assert files_a == files_b and files_a
     for name in files_a:
         assert _read(outs[0] / name) == _read(outs[1] / name), name
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path):
+    # a fresh interpreter runs __main__ and starts its BLAS thread pools anew
+    argv = ["fit", "--data", str(FIXTURE), "--family", "logistic", "--seed", "7"]
+    src = str(Path(resizedboot.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    sub = tmp_path / "sub"
+    proc = subprocess.run(
+        [sys.executable, "-m", "resizedboot", *argv, "--out", str(sub)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert main(argv + ["--out", str(tmp_path / "inproc")]) == 0
+    names = sorted(p.name for p in sub.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "inproc").iterdir()) and names
+    for name in names:
+        assert _read(sub / name) == _read(tmp_path / "inproc" / name), name
 
 
 def test_fit_command_probit_family(tmp_path):

@@ -28,7 +28,13 @@ from .designs import DESIGN_NAMES, DesignSpec, generate_dataset, named_design
 from .exceptions import CsvParseError, ResizedBootError
 from .families import FAMILY_NAMES, get_family
 from .fitting import Dataset, FitStatus, fit_mle
-from .intervals import boot_g_ci, boot_t_ci, classical_se, classical_wald_ci
+from .intervals import (
+    boot_g_ci,
+    boot_t_ci,
+    check_boot_t_replicates,
+    classical_se,
+    classical_wald_ci,
+)
 from .rng import child_seed
 from .serialize import SCHEMA_VERSION, fmt, write_csv, write_json
 from .signal_strength import estimate_gamma
@@ -236,11 +242,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    methods = args.method or ["classical", "boot-g", "boot-t"]
+    B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
+    if "boot-t" in methods:
+        for lv in args.level:
+            check_boot_t_replicates(B, lv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(args)
-    methods = args.method or ["classical", "boot-g", "boot-t"]
-    B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
     fit = _fit_or_fail(data)
     # the signal strength and the resized coefficients serve boot-g/boot-t only
     gamma_hat = eta_tilde = resized = summary = None

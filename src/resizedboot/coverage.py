@@ -9,10 +9,15 @@ parametric-at-the-MLE comparison modes.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import hold_single_thread
 from .bootstrap import (
     BootstrapSummary,
     ResizedCoefficients,
@@ -23,7 +28,14 @@ from .bootstrap import (
 from .designs import DesignSpec, gen_coefficients, gen_covariates, gen_response
 from .exceptions import ResizedBootError, TooManyFailuresError
 from .fitting import Dataset, FitOptions, FitResult, FitStatus, fit_mle, newton_fit
-from .intervals import IntervalSet, boot_g_ci, boot_t_ci, classical_se, classical_wald_ci
+from .intervals import (
+    IntervalSet,
+    boot_g_ci,
+    boot_t_ci,
+    check_boot_t_replicates,
+    classical_se,
+    classical_wald_ci,
+)
 from .rng import child_seed, substream
 from .serialize import SCHEMA_VERSION
 from .signal_strength import estimate_gamma, sd_linear_predictor
@@ -271,6 +283,14 @@ def run_coverage(
     Y are redrawn each repetition unless ``fix_x``. ``gamma_mode`` 'known'
     uses sd(X beta_true) of each repetition's realised X; 'estimated' runs
     the signal-strength estimator with reduced defaults per repetition.
+
+    The repetitions run in a pool of worker processes, one per usable CPU
+    and at most ``n_reps``, each with both bundled OpenBLAS pools held at
+    one thread (see ``_blas``). Every repetition draws from its own seeded
+    streams, and the records are reduced in repetition order, so the report
+    does not depend on the number of workers. An error that a repetition
+    does not count as a failure cancels the repetitions not yet started and
+    is raised here.
     """
     methods = tuple(methods)
     levels = tuple(float(l) for l in levels)
@@ -281,96 +301,37 @@ def run_coverage(
         raise ValueError("gamma_mode must be 'known' or 'estimated'")
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2")
+    if "boot-t" in methods:
+        for l in levels:
+            check_boot_t_replicates(B, l)
 
-    beta_true = gen_coefficients(design, substream(design.seed, 0))
-    p = design.p
-    needs_resized = bool(_RESIZED.intersection(methods))
-
-    covered = {m: {l: [] for l in levels} for m in methods}
-    beta_sum = np.zeros(p)
-    beta_sq = np.zeros(p)
-    se_sum = np.zeros(p)
-    sigma_sum = np.zeros(p)
-    alpha_hats: list[float] = []
-    gamma_used: list[float] = []
-    gamma_estimates: list[float] = []
-    n_boot_failed = 0
-    n_done = 0
-    n_failed = 0
-    x_fixed = gen_covariates(design, substream(seed, _X_STREAM, 0)) if fix_x else None
-
-    for rep in range(n_reps):
-        X = (
-            x_fixed
-            if fix_x
-            else gen_covariates(design, substream(seed, _X_STREAM, rep))
-        )
-        y = gen_response(X, beta_true, design.family, substream(seed, _Y_STREAM, rep))
-        data = Dataset(X=X, y=y, family=design.family)
-        fit = fit_mle(data, fit_options)
-        if fit.status is not FitStatus.CONVERGED:
-            n_failed += 1
-            continue
-        try:
-            if gamma_mode == "known":
-                gamma = sd_linear_predictor(X, beta_true)
-            else:
-                gamma = estimate_gamma(
-                    data,
-                    fit,
-                    grid_size=grid_size,
-                    reps=reps,
-                    seed=child_seed(seed, _GAMMA_KEY, rep),
-                    fit_options=fit_options,
-                ).gamma_hat
-            summaries: dict[str, tuple[BootstrapSummary, np.ndarray]] = {}
-            if needs_resized:
-                resized = resize(fit, gamma, X, has_intercept=data.has_intercept)
-                rs = run_bootstrap(
-                    data,
-                    resized,
-                    B,
-                    child_seed(seed, _BOOT_KEY, rep),
-                    fit_options=fit_options,
-                )
-                summaries["resized"] = (rs, resized.beta_star)
-            if "parametric" in methods:
-                ps = baseline_bootstraps(
-                    data, fit, B, "parametric_at_mle",
-                    child_seed(seed, _PARAM_KEY, rep), fit_options=fit_options,
-                )
-                summaries["parametric"] = (ps, fit.beta_hat)
-            if "pairs" in methods:
-                rs = baseline_bootstraps(
-                    data, fit, B, "pairs",
-                    child_seed(seed, _PAIRS_KEY, rep), fit_options=fit_options,
-                )
-                summaries["pairs"] = (rs, fit.beta_hat)
-        except ResizedBootError:
-            n_failed += 1
-            continue
-
-        for m in methods:
-            for l in levels:
-                ci = _make_interval(m, fit, summaries, l)
-                covered[m][l].append(ci.contains(beta_true))
-        beta_sum += fit.beta_hat
-        beta_sq += fit.beta_hat**2
-        se_sum += classical_se(fit)
-        if needs_resized:
-            s, _ = summaries["resized"]
-            alpha_hats.append(s.alpha_hat)
-            sigma_sum += s.sigma_hat
-            n_boot_failed += s.n_failed
-        gamma_used.append(gamma)
-        if gamma_mode == "estimated":
-            gamma_estimates.append(gamma)
-        n_done += 1
-
+    run = _Run(
+        design=design,
+        beta_true=gen_coefficients(design, substream(design.seed, 0)),
+        methods=methods,
+        levels=levels,
+        B=B,
+        seed=seed,
+        gamma_mode=gamma_mode,
+        grid_size=grid_size,
+        reps=reps,
+        x_fixed=(
+            gen_covariates(design, substream(seed, _X_STREAM, 0)) if fix_x else None
+        ),
+        fit_options=fit_options,
+    )
+    done = [r for r in _run_repetitions(run, n_reps) if r is not None]
+    n_done = len(done)
+    n_failed = n_reps - n_done
     if n_failed > max_rep_failure_fraction * n_reps:
         raise TooManyFailuresError(n_failed, n_reps, context="coverage repetition")
-    mle_mean = beta_sum / n_done
+
+    # sums in repetition order, as a serial loop would add them
+    zeros = np.zeros(design.p)
+    mle_mean = sum((r.beta_hat for r in done), zeros) / n_done
+    beta_sq = sum((r.beta_hat**2 for r in done), zeros)
     mle_var = np.maximum(beta_sq / n_done - mle_mean**2, 0.0) * n_done / (n_done - 1)
+    resized = [r for r in done if r.alpha is not None]
     return CoverageReport(
         design=design,
         methods=methods,
@@ -378,22 +339,186 @@ def run_coverage(
         n_reps_requested=n_reps,
         n_reps=n_done,
         n_rep_failed=n_failed,
-        beta_true=beta_true,
+        beta_true=run.beta_true,
         covered={
-            m: {l: np.asarray(covered[m][l]) for l in levels} for m in methods
+            m: {l: np.asarray([r.covered[m, l] for r in done]) for l in levels}
+            for m in methods
         },
         mle_mean=mle_mean,
         mle_sd=np.sqrt(mle_var),
-        classical_se_mean=se_sum / n_done,
-        alpha_hats=np.asarray(alpha_hats),
-        sigma_hat_mean=(sigma_sum / len(alpha_hats)) if alpha_hats else None,
+        classical_se_mean=sum((r.se for r in done), zeros) / n_done,
+        alpha_hats=np.asarray([r.alpha for r in resized]),
+        sigma_hat_mean=(
+            sum((r.sigma for r in resized), zeros) / len(resized) if resized else None
+        ),
         gamma_mode=gamma_mode,
-        gamma_used=np.asarray(gamma_used),
-        gamma_estimates=np.asarray(gamma_estimates) if gamma_estimates else None,
-        n_boot_failed=n_boot_failed,
+        gamma_used=np.asarray([r.gamma for r in done]),
+        gamma_estimates=(
+            np.asarray([r.gamma for r in done])
+            if gamma_mode == "estimated" and done
+            else None
+        ),
+        n_boot_failed=sum(r.n_boot_failed for r in done),
         B=B,
         seed=seed,
     )
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What every repetition of one coverage run shares. A worker process
+    receives it once, when it starts; a task carries only its repetition."""
+
+    design: DesignSpec
+    beta_true: np.ndarray
+    methods: tuple[str, ...]
+    levels: tuple[float, ...]
+    B: int
+    seed: int
+    gamma_mode: str
+    grid_size: int
+    reps: int
+    x_fixed: np.ndarray | None
+    fit_options: FitOptions
+
+
+@dataclass(frozen=True)
+class _Record:
+    """What one repetition that did not fail adds to the report."""
+
+    covered: dict  # (method, level) -> (p,) bool array
+    beta_hat: np.ndarray
+    se: np.ndarray  # classical standard errors
+    alpha: float | None  # resized-bootstrap alpha_hat, if boot-g/boot-t ran
+    sigma: np.ndarray | None  # resized-bootstrap sigma_hat, likewise
+    n_boot_failed: int
+    gamma: float
+
+
+def _repetition(run: _Run, rep: int) -> _Record | None:
+    """Repetition ``rep``: draw the data, fit, find gamma, resize, refit B
+    times and check each interval. None when the fit does not converge or a
+    bootstrap or the curve fails."""
+    design, seed, fit_options = run.design, run.seed, run.fit_options
+    X = (
+        run.x_fixed
+        if run.x_fixed is not None
+        else gen_covariates(design, substream(seed, _X_STREAM, rep))
+    )
+    y = gen_response(X, run.beta_true, design.family, substream(seed, _Y_STREAM, rep))
+    data = Dataset(X=X, y=y, family=design.family)
+    fit = fit_mle(data, fit_options)
+    if fit.status is not FitStatus.CONVERGED:
+        return None
+    try:
+        if run.gamma_mode == "known":
+            gamma = sd_linear_predictor(X, run.beta_true)
+        else:
+            gamma = estimate_gamma(
+                data,
+                fit,
+                grid_size=run.grid_size,
+                reps=run.reps,
+                seed=child_seed(seed, _GAMMA_KEY, rep),
+                fit_options=fit_options,
+            ).gamma_hat
+        summaries: dict[str, tuple[BootstrapSummary, np.ndarray]] = {}
+        if _RESIZED.intersection(run.methods):
+            resized = resize(fit, gamma, X, has_intercept=data.has_intercept)
+            rs = run_bootstrap(
+                data,
+                resized,
+                run.B,
+                child_seed(seed, _BOOT_KEY, rep),
+                fit_options=fit_options,
+            )
+            summaries["resized"] = (rs, resized.beta_star)
+        if "parametric" in run.methods:
+            ps = baseline_bootstraps(
+                data, fit, run.B, "parametric_at_mle",
+                child_seed(seed, _PARAM_KEY, rep), fit_options=fit_options,
+            )
+            summaries["parametric"] = (ps, fit.beta_hat)
+        if "pairs" in run.methods:
+            rs = baseline_bootstraps(
+                data, fit, run.B, "pairs",
+                child_seed(seed, _PAIRS_KEY, rep), fit_options=fit_options,
+            )
+            summaries["pairs"] = (rs, fit.beta_hat)
+    except ResizedBootError:
+        return None
+
+    boot = summaries["resized"][0] if "resized" in summaries else None
+    return _Record(
+        covered={
+            (m, l): _make_interval(m, fit, summaries, l).contains(run.beta_true)
+            for m in run.methods
+            for l in run.levels
+        },
+        beta_hat=fit.beta_hat,
+        se=classical_se(fit),
+        alpha=boot.alpha_hat if boot else None,
+        sigma=boot.sigma_hat if boot else None,
+        n_boot_failed=boot.n_failed if boot else 0,
+        gamma=gamma,
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity off Linux
+        return os.cpu_count() or 1
+
+
+def _run_repetitions(run: _Run, n_reps: int) -> list[_Record | None]:
+    """The records of repetitions 0..n_reps-1, in order, from worker
+    processes. Forked workers inherit the imported package, where a spawned
+    one would import it anew (about 0.9 s)."""
+    # imported here, as only coverage needs them: at import they would add
+    # about 8 ms and 0.85 MB to every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    with ProcessPoolExecutor(
+        min(_usable_cpus(), n_reps),
+        mp_context=multiprocessing.get_context("fork" if fork else None),
+        initializer=_start_worker,
+        initargs=(run, os.getpid()),
+    ) as pool:
+        # on an error, map cancels the repetitions that have not started
+        return list(pool.map(_worker_repetition, range(n_reps)))
+
+
+_worker_run: _Run | None = None  # set in each worker process, never in the caller's
+
+
+def _start_worker(run: _Run, caller: int) -> None:
+    global _worker_run
+    _exit_with_caller(caller)
+    _worker_run = run
+    hold_single_thread()
+
+
+_PR_SET_PDEATHSIG = 1
+
+
+def _exit_with_caller(caller: int) -> None:
+    """Have the kernel kill this worker when the thread that started it
+    ends, as when the caller is killed: a worker whose caller is gone would
+    otherwise wait for work for ever. The pool starts its workers from the
+    thread that calls ``run_coverage``, which outlives the pool. Linux only."""
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    libc.prctl(ctypes.c_int(_PR_SET_PDEATHSIG), ctypes.c_ulong(signal.SIGKILL))
+    if os.getppid() != caller:  # the caller ended before prctl took effect
+        os._exit(1)
+
+
+def _worker_repetition(rep: int) -> _Record | None:
+    return _repetition(_worker_run, rep)
 
 
 def _make_interval(method, fit, summaries, level) -> IntervalSet:

@@ -34,6 +34,10 @@ class CurveNotBracketingError(ResizedBootError):
             "refusing to extrapolate (signal likely near the phase boundary)"
         )
 
+    def __reduce__(self):
+        # unpickling calls the class with these, not with the message
+        return type(self), (self.eta_tilde, self.eta_max)
+
 
 class ZeroMleError(ResizedBootError):
     """Cannot hit a positive signal-strength target by rescaling a zero MLE."""
@@ -46,10 +50,14 @@ class TooManyFailuresError(ResizedBootError):
     def __init__(self, n_failed: int, n_total: int, context: str = "bootstrap"):
         self.n_failed = int(n_failed)
         self.n_total = int(n_total)
+        self.context = context
         super().__init__(
             f"{n_failed}/{n_total} {context} replicates failed to converge; "
             "the design may sit at or over the separability phase transition"
         )
+
+    def __reduce__(self):
+        return type(self), (self.n_failed, self.n_total, self.context)
 
 
 class InsufficientBootstrapError(ResizedBootError):

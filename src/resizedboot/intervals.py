@@ -117,6 +117,18 @@ def boot_g_ci(fit: FitResult, summary: "BootstrapSummary", level: float) -> Inte
     return IntervalSet(lo=lo, hi=hi, level=level, method="boot-g")
 
 
+def check_boot_t_replicates(n_boot: int, level: float) -> None:
+    """Raise ``InsufficientBootstrapError`` unless ``n_boot`` replicates leave
+    at least 40 in the tails of a boot-t interval at ``level``, so that its
+    pivot quantiles are interior order statistics: n_boot * (1 - level) >= 40."""
+    q = 1.0 - _check_level(level)
+    if n_boot * q < 40.0:
+        raise InsufficientBootstrapError(
+            f"boot-t at level {level} needs at least {int(np.ceil(40.0 / q))} "
+            f"replicates; have {n_boot}"
+        )
+
+
 def boot_t_ci(
     fit: FitResult,
     summary: "BootstrapSummary",
@@ -134,12 +146,7 @@ def boot_t_ci(
     bs = getattr(beta_star, "beta_star", beta_star)
     bs = np.asarray(bs, dtype=np.float64)
     q = 1.0 - level
-    n_boot = summary.boot_mles.shape[0]
-    if n_boot * q < 40.0:
-        raise InsufficientBootstrapError(
-            f"boot-t at level {level} needs at least {int(np.ceil(40.0 / q))} "
-            f"replicates; have {n_boot}"
-        )
+    check_boot_t_replicates(summary.boot_mles.shape[0], level)
     pivots = (summary.boot_mles - summary.alpha_hat * bs) / summary.sigma_hat
     pivots = np.sort(pivots, axis=0)
     t_hi = _quantile_sorted(pivots, 1.0 - q / 2.0)

@@ -1,8 +1,11 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import resizedboot
-from resizedboot import CsvParseError, fit_mle
+from resizedboot import CsvParseError, cli, fit_mle
 from resizedboot.cli import export_dataset_csv, main, parse_dataset_csv
 
 FIXTURE = Path(__file__).parent / "fixtures" / "logistic_n200_p5.csv"
@@ -201,6 +204,24 @@ def test_infer_classical_skips_gamma_and_matches_fit(tmp_path):
     assert summary["alpha_hat"] is None
 
 
+def test_infer_boot_t_with_too_small_b_fails_before_fitting(
+    monkeypatch, tmp_path, capsys
+):
+    def no_data(args):
+        raise AssertionError("the data were loaded")
+
+    monkeypatch.setattr(cli, "_load_data", no_data)
+    rc = main(["infer", "--data", str(FIXTURE), "--family", "logistic",
+               "--B", "300", "--level", "0.8", "--level", "0.95",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {
+        "type": "InsufficientBootstrapError",
+        "message": "boot-t at level 0.95 needs at least 800 replicates; have 300",
+    }
+
+
 def test_data_requires_family(tmp_path, capsys):
     rc = main(["infer", "--data", str(FIXTURE), "--out", str(tmp_path)])
     assert rc == 1
@@ -299,22 +320,73 @@ def test_commands_are_byte_deterministic(tmp_path, argv):
 
 
 def test_module_entry_point_matches_in_process_main(tmp_path):
-    # a fresh interpreter runs __main__ and starts its BLAS thread pools anew
-    argv = ["fit", "--data", str(FIXTURE), "--family", "logistic", "--seed", "7"]
+    # a fresh interpreter runs __main__ and starts its BLAS thread pools anew;
+    # coverage also starts its worker processes from that entry point
     src = str(Path(resizedboot.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    sub = tmp_path / "sub"
-    proc = subprocess.run(
-        [sys.executable, "-m", "resizedboot", *argv, "--out", str(sub)],
-        env=env, capture_output=True, text=True, timeout=120,
+    commands = {
+        "fit": ["fit", "--data", str(FIXTURE), "--family", "logistic", "--seed", "7"],
+        "coverage": ["coverage", "--design", "pareto-small", "--seed", "7",
+                     "--n-reps", "3", "--B", "40", "--gamma-mode", "known",
+                     "--method", "classical", "--method", "boot-g"],
+    }
+    for command, argv in commands.items():
+        sub, inproc = tmp_path / command / "sub", tmp_path / command / "inproc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "resizedboot", *argv, "--out", str(sub)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert main(argv + ["--out", str(inproc)]) == 0
+        names = sorted(p.name for p in sub.iterdir())
+        assert names == sorted(p.name for p in inproc.iterdir()) and names
+        for name in names:
+            assert _read(sub / name) == _read(inproc / name), (command, name)
+
+
+def _stat(pid: str) -> list[str]:
+    """Fields of /proc/PID/stat after the command name: state, ppid, ..."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return ["gone", ""]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_coverage_workers_end_with_a_killed_caller(tmp_path):
+    src = str(Path(resizedboot.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resizedboot", "coverage", "--design", "pareto-small",
+         "--n-reps", "40", "--B", "1000", "--gamma-mode", "known",
+         "--method", "boot-t", "--out", str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert main(argv + ["--out", str(tmp_path / "inproc")]) == 0
-    names = sorted(p.name for p in sub.iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "inproc").iterdir()) and names
-    for name in names:
-        assert _read(sub / name) == _read(tmp_path / "inproc" / name), name
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = [
+                d.name for d in Path("/proc").iterdir()
+                if d.name.isdigit() and _stat(d.name)[1] == str(proc.pid)
+            ]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert workers, "the pool started no workers"
+    # a killed worker is a zombie until its new parent reaps it
+    deadline = time.monotonic() + 10
+    try:
+        while any(_stat(w)[0] not in ("Z", "gone") for w in workers):
+            assert time.monotonic() < deadline, "a worker outlived its caller"
+            time.sleep(0.1)
+    finally:
+        for w in workers:
+            if _stat(w)[0] not in ("Z", "gone"):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(w), signal.SIGKILL)
 
 
 def test_fit_command_probit_family(tmp_path):

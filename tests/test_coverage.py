@@ -1,10 +1,15 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
 import resizedboot.coverage as cov
 from resizedboot import (
+    CurveNotBracketingError,
     DesignSpec,
     GaussianCovariates,
+    InsufficientBootstrapError,
     IntervalSet,
     MixtureCoefficients,
     TooManyFailuresError,
@@ -15,6 +20,7 @@ from resizedboot import (
     run_bootstrap,
 )
 from resizedboot.bootstrap import ResizedCoefficients
+from resizedboot.cli import write_json
 from resizedboot.coverage import pairs_indices
 from resizedboot.signal_strength import sd_linear_predictor
 
@@ -179,3 +185,78 @@ def test_report_serialisation_and_table(small_report):
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         run_coverage(_tiny_design(), methods=("magic",), n_reps=2, B=10)
+
+
+# (design, run_coverage keywords): known and estimated gamma, a fixed X, and
+# a design on which repetition 1 of 6 ends separable
+POOL_CASES = {
+    "known": (_tiny_design(), dict(gamma_mode="known", n_reps=4, seed=3)),
+    "estimated": (
+        _tiny_design(n=150, p=15, k=5),
+        dict(gamma_mode="estimated", n_reps=3, seed=1, grid_size=6, reps=2),
+    ),
+    "fix_x": (_tiny_design(), dict(gamma_mode="known", n_reps=4, seed=5, fix_x=True)),
+    "failed_rep": (
+        DesignSpec(
+            n=50, p=8, covariates=GaussianCovariates(),
+            coefficients=MixtureCoefficients(k=4, mu=4.0, sd=0.5),
+            family="logistic", seed=0,
+        ),
+        dict(gamma_mode="known", n_reps=6, seed=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, case):
+    design, kw = POOL_CASES[case]
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cov, "_usable_cpus", lambda: workers)
+        report = run_coverage(
+            design, methods=("classical", "boot-g"), levels=(0.9, 0.8), B=40, **kw
+        )
+        path = tmp_path / f"coverage-{workers}.json"
+        write_json(path, report.to_json_dict())
+        outputs.append(path.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert report.n_rep_failed == (1 if case == "failed_rep" else 0)
+
+
+def test_error_in_a_repetition_reaches_the_caller(monkeypatch, tmp_path):
+    real = cov._repetition
+
+    def repetition(run, rep):
+        (tmp_path / str(rep)).touch()
+        if rep == 0:
+            raise CurveNotBracketingError(24.7, 20.0)
+        time.sleep(0.2)
+        return real(run, rep)
+
+    monkeypatch.setattr(cov, "_repetition", repetition)
+    monkeypatch.setattr(cov, "_usable_cpus", lambda: 2)
+    with pytest.raises(CurveNotBracketingError) as info:
+        run_coverage(
+            _tiny_design(), methods=("classical",), n_reps=40, B=10,
+            gamma_mode="known",
+        )
+    assert str(info.value) == str(CurveNotBracketingError(24.7, 20.0))
+    assert (info.value.eta_tilde, info.value.eta_max) == (24.7, 20.0)
+    # only the repetitions already handed to a worker ran
+    assert len(list(tmp_path.iterdir())) < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_boot_t_with_too_small_b_fails_before_any_repetition(monkeypatch):
+    def no_repetitions(run, n_reps):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(cov, "_run_repetitions", no_repetitions)
+    with pytest.raises(
+        InsufficientBootstrapError,
+        match="boot-t at level 0.95 needs at least 800 replicates; have 300",
+    ):
+        run_coverage(
+            _tiny_design(), methods=("boot-g", "boot-t"), levels=(0.8, 0.95),
+            n_reps=4, B=300, gamma_mode="known",
+        )

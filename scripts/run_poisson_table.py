@@ -22,7 +22,7 @@ def main() -> None:
         design, n_reps=args.n_reps, seed=args.seed,
         resized_reps=args.resized_reps, B=args.B, gamma_mode=args.gamma_mode,
     )
-    print(study.format_table())
+    print(study.format_bias_sd_table())
 
     if args.coverage:
         report = run_coverage(

@@ -18,9 +18,10 @@ from .bootstrap import (
     weighted_origin_slope,
 )
 from .coverage import (
-    BiasSdStudy,
     CoverageReport,
+    Inference,
     baseline_bootstraps,
+    infer,
     run_bias_sd_study,
     run_coverage,
 )

@@ -15,9 +15,10 @@ the library never changes it in the caller's process. The command-line
 entry point holds SciPy's pool at one thread for the duration of one
 command; NumPy's pool keeps its threads, since with both held at one
 thread the products of a single process run serially and a command is
-slower. The worker processes that ``run_coverage`` starts and owns hold
-both pools at one thread: they already keep every core busy, and a pool
-per worker on every core would spin against the other workers.
+slower. The worker processes that ``run_coverage`` and
+``run_bias_sd_study`` start and own hold both pools at one thread: they
+already keep every core busy, and a pool per worker on every core would
+spin against the other workers.
 
 A library is found in the ``<package>.libs`` directory beside the package
 (``numpy.libs``, ``scipy.libs``), where a wheel keeps the libraries it

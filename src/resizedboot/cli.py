@@ -22,24 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import scipy_blas_single_thread
-from .bootstrap import run_bootstrap, resize
-from .coverage import METHODS, baseline_bootstraps, run_coverage
+from .coverage import (
+    _GAMMA_KEY,
+    METHODS,
+    check_methods,
+    fit_or_fail,
+    infer,
+    run_coverage,
+)
 from .designs import DESIGN_NAMES, DesignSpec, generate_dataset, named_design
 from .exceptions import CsvParseError, ResizedBootError
 from .families import FAMILY_NAMES, get_family
-from .fitting import Dataset, FitStatus, fit_mle
-from .intervals import (
-    boot_g_ci,
-    boot_t_ci,
-    check_boot_t_replicates,
-    classical_se,
-    classical_wald_ci,
-)
+from .fitting import Dataset
+from .intervals import classical_se, classical_wald_ci
 from .rng import child_seed
 from .serialize import SCHEMA_VERSION, fmt, write_csv, write_json
 from .signal_strength import estimate_gamma
-
-_GAMMA_KEY, _BOOT_KEY, _PARAM_KEY, _PAIRS_KEY = 3, 4, 5, 6
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +201,11 @@ def _write_intervals(out: Path, intervals: list) -> None:
     write_json(out / "intervals.json", {"schema_version": SCHEMA_VERSION, "intervals": records})
 
 
-def _fit_or_fail(data: Dataset) -> "FitResult":
-    fit = fit_mle(data)
-    if fit.status is not FitStatus.CONVERGED:
-        raise ResizedBootError(
-            f"maximum-likelihood fit failed with status '{fit.status.value}'"
-        )
-    return fit
+def _methods_and_b(args) -> tuple[list[str], int]:
+    """The requested methods, and B: by default 100, or 10000 with boot-t."""
+    methods = args.method or ["classical", "boot-g", "boot-t"]
+    B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
+    return methods, B
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +216,7 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(args)
-    fit = _fit_or_fail(data)
+    fit = fit_or_fail(data)
     intervals = [classical_wald_ci(fit, lv) for lv in args.level]
     _write_intervals(out, intervals)
     write_json(
@@ -242,49 +238,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    methods = args.method or ["classical", "boot-g", "boot-t"]
-    B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
-    if "boot-t" in methods:
-        for lv in args.level:
-            check_boot_t_replicates(B, lv)
+    methods, B = _methods_and_b(args)
+    check_methods(methods, args.level, B)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(args)
-    fit = _fit_or_fail(data)
-    # the signal strength and the resized coefficients serve boot-g/boot-t only
-    gamma_hat = eta_tilde = resized = summary = None
-    if {"boot-g", "boot-t"}.intersection(methods):
-        if args.known_gamma is not None:
-            gamma_hat = float(args.known_gamma)
-        else:
-            curve = estimate_gamma(
-                data, fit, grid_size=args.grid, reps=args.reps,
-                seed=child_seed(args.seed, _GAMMA_KEY),
-            )
-            gamma_hat, eta_tilde = curve.gamma_hat, curve.eta_tilde
-        resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)
-        summary = run_bootstrap(data, resized, B, child_seed(args.seed, _BOOT_KEY))
-    baselines = {
-        m: baseline_bootstraps(
-            data, fit, B, m,
-            child_seed(args.seed, _PARAM_KEY if m == "parametric" else _PAIRS_KEY),
-        )
-        for m in ("parametric", "pairs")
-        if m in methods
-    }
-    intervals = []
-    for lv in args.level:
-        for m in methods:
-            if m == "classical":
-                intervals.append(classical_wald_ci(fit, lv))
-            elif m == "boot-g":
-                intervals.append(boot_g_ci(fit, summary, lv))
-            elif m == "boot-t":
-                intervals.append(boot_t_ci(fit, summary, resized, lv))
-            else:
-                ci = boot_g_ci(fit, baselines[m], lv)
-                intervals.append(type(ci)(lo=ci.lo, hi=ci.hi, level=lv, method=m))
-    _write_intervals(out, intervals)
+    inference = infer(
+        data, methods=methods, levels=args.level, B=B, seed=args.seed,
+        gamma=args.known_gamma, grid_size=args.grid, reps=args.reps,
+    )
+    _write_intervals(
+        out, [inference.interval(m, lv) for lv in args.level for m in methods]
+    )
+    fit, resized, summary = inference.fit, inference.resized, inference.summary
     if args.dump_boot and summary is not None:
         write_csv(
             out / "boot_mles.csv",
@@ -297,8 +263,8 @@ def cmd_infer(args) -> int:
             "beta_hat": fit.beta_hat,
             "alpha_hat": summary.alpha_hat if summary else None,
             "sigma_hat": summary.sigma_hat if summary else None,
-            "gamma_hat": gamma_hat,
-            "eta_tilde": eta_tilde,
+            "gamma_hat": inference.gamma_hat,
+            "eta_tilde": inference.eta_tilde,
             "scale_s": resized.scale_s if resized else None,
             "n_failed": summary.n_failed if summary else 0,
             "seed": args.seed,
@@ -334,8 +300,7 @@ def cmd_coverage(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     spec = _resolve_design(args.design, args.seed)
-    methods = args.method or ["classical", "boot-g", "boot-t"]
-    B = args.B if args.B is not None else (10000 if "boot-t" in methods else 100)
+    methods, B = _methods_and_b(args)
     report = run_coverage(
         spec,
         methods=methods,
@@ -368,7 +333,7 @@ def cmd_curve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(args)
-    fit = _fit_or_fail(data)
+    fit = fit_or_fail(data)
     curve = estimate_gamma(
         data, fit, grid_size=args.grid, reps=args.reps,
         seed=child_seed(args.seed, _GAMMA_KEY),

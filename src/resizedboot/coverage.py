@@ -1,10 +1,14 @@
-"""Monte Carlo coverage experiments and bias/sd studies.
+"""The inference pipeline, Monte Carlo coverage experiments and bias/sd
+studies.
 
-``run_coverage`` repeats the full pipeline over freshly simulated datasets
-(coefficients drawn once and held fixed) and tallies, per method and level,
-the per-coordinate coverage frequency q_j and the per-repetition fraction of
-covered coordinates qbar_i. ``baseline_bootstraps`` supplies the pairs and
-parametric-at-the-MLE comparison modes.
+``infer`` runs the method on one dataset: fit, signal strength, resize,
+resized bootstrap and the requested baselines, and its ``Inference`` builds
+each method's intervals. ``run_coverage`` repeats it over freshly simulated
+datasets (coefficients drawn once and held fixed) and tallies, per method and
+level, the per-coordinate coverage frequency q_j and the per-repetition
+fraction of covered coordinates qbar_i. ``run_bias_sd_study`` reduces the
+same repetitions to the bias and sd of the MLE. ``baseline_bootstraps``
+supplies the pairs and parametric-at-the-MLE comparison modes.
 """
 
 from __future__ import annotations
@@ -41,11 +45,35 @@ from .serialize import SCHEMA_VERSION
 from .signal_strength import estimate_gamma, sd_linear_predictor
 
 _X_STREAM, _Y_STREAM = 1, 2
+# stage k of infer draws from child_seed(seed, k, *key)
 _GAMMA_KEY, _BOOT_KEY, _PARAM_KEY, _PAIRS_KEY = 3, 4, 5, 6
 _PAIRS_STREAM = 31
 
 METHODS = ("classical", "boot-g", "boot-t", "parametric", "pairs")
 _RESIZED = {"boot-g", "boot-t"}
+
+
+def check_methods(methods, levels, B: int) -> None:
+    """Raise ``ValueError`` for a method outside ``METHODS``, and
+    ``InsufficientBootstrapError`` when boot-t is requested with too few
+    replicates ``B`` for one of ``levels``."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
+    if "boot-t" in methods:
+        for l in levels:
+            check_boot_t_replicates(B, l)
+
+
+def fit_or_fail(data: Dataset, fit_options: FitOptions = FitOptions()) -> FitResult:
+    """The maximum-likelihood fit of ``data``; ``ResizedBootError`` unless it
+    converged."""
+    fit = fit_mle(data, fit_options)
+    if fit.status is not FitStatus.CONVERGED:
+        raise ResizedBootError(
+            f"maximum-likelihood fit failed with status '{fit.status.value}'"
+        )
+    return fit
 
 
 def pairs_indices(seed: int, b: int, n: int) -> np.ndarray:
@@ -100,9 +128,93 @@ def baseline_bootstraps(
     )
 
 
+@dataclass(frozen=True)
+class Inference:
+    """What ``infer`` found on one dataset. ``gamma_hat``, ``resized`` and
+    the resized bootstrap's ``summary`` are None unless boot-g or boot-t was
+    requested; ``eta_tilde`` is None also when gamma was given."""
+
+    methods: tuple[str, ...]
+    fit: FitResult
+    gamma_hat: float | None
+    eta_tilde: float | None
+    resized: ResizedCoefficients | None
+    summary: BootstrapSummary | None
+    baselines: dict  # 'parametric' / 'pairs' -> BootstrapSummary
+
+    def interval(self, method: str, level: float) -> IntervalSet:
+        """The intervals of ``method``, one of the requested methods, at
+        ``level``. The baselines take the Gaussian-pivot interval of their own
+        bootstrap summaries."""
+        if method not in self.methods:
+            raise ValueError(f"method {method!r} was not requested from infer")
+        if method == "classical":
+            return classical_wald_ci(self.fit, level)
+        if method == "boot-g":
+            return boot_g_ci(self.fit, self.summary, level)
+        if method == "boot-t":
+            return boot_t_ci(self.fit, self.summary, self.resized, level)
+        ci = boot_g_ci(self.fit, self.baselines[method], level)
+        return IntervalSet(lo=ci.lo, hi=ci.hi, level=ci.level, method=method)
+
+
+def infer(
+    data: Dataset,
+    *,
+    methods,
+    levels,
+    B: int,
+    seed: int,
+    key: tuple[int, ...] = (),
+    gamma: float | None = None,
+    grid_size: int = 10,
+    reps: int = 3,
+    fit_options: FitOptions = FitOptions(),
+) -> Inference:
+    """The resized-bootstrap pipeline on one dataset: fit, then (for boot-g
+    or boot-t only) the signal strength ``gamma``, or its estimate from the
+    eta(gamma) curve, the resize and B refits; then the requested baselines.
+
+    ``levels`` are the levels whose intervals will be asked for: boot-t with
+    too few replicates for one of them is rejected before the fit. Each
+    stage draws from ``child_seed(seed, stage, *key)``.
+    """
+    methods = tuple(methods)
+    check_methods(methods, levels, B)
+    fit = fit_or_fail(data, fit_options)
+    gamma_hat = eta_tilde = resized = summary = None
+    if _RESIZED.intersection(methods):
+        if gamma is not None:
+            gamma_hat = float(gamma)
+        else:
+            curve = estimate_gamma(
+                data, fit, grid_size=grid_size, reps=reps,
+                seed=child_seed(seed, _GAMMA_KEY, *key), fit_options=fit_options,
+            )
+            gamma_hat, eta_tilde = curve.gamma_hat, curve.eta_tilde
+        resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)
+        summary = run_bootstrap(
+            data, resized, B, child_seed(seed, _BOOT_KEY, *key),
+            fit_options=fit_options,
+        )
+    baselines = {
+        m: baseline_bootstraps(
+            data, fit, B, m,
+            child_seed(seed, _PARAM_KEY if m == "parametric" else _PAIRS_KEY, *key),
+            fit_options=fit_options,
+        )
+        for m in ("parametric", "pairs")
+        if m in methods
+    }
+    return Inference(
+        methods, fit, gamma_hat, eta_tilde, resized, summary, baselines
+    )
+
+
 @dataclass
 class CoverageReport:
-    """Tally of a coverage experiment plus the bias/sd side tables."""
+    """Tally of a coverage experiment or a bias/sd study (which has no
+    levels), with the bias/sd side tables."""
 
     design: DesignSpec
     methods: tuple[str, ...]
@@ -118,7 +230,7 @@ class CoverageReport:
     alpha_hats: np.ndarray
     sigma_hat_mean: np.ndarray | None
     gamma_mode: str
-    gamma_used: np.ndarray
+    gamma_used: np.ndarray | None  # None when no repetition used a gamma
     gamma_estimates: np.ndarray | None
     n_boot_failed: int
     B: int
@@ -261,6 +373,35 @@ class CoverageReport:
             )
         return "\n".join(lines)
 
+    def format_bias_sd_table(self) -> str:
+        """Bias and sd of a designated null and the largest non-null
+        coordinate; nulls show '-' in the bias columns."""
+        lines = [
+            f"bias/sd study over {self.n_reps} repetitions "
+            f"(resized estimates from {len(self.alpha_hats)} runs, B={self.B})",
+            f"{'':<18}{'bias(resized)':>14}{'bias(empirical)':>16}"
+            f"{'sd(classical)':>14}{'sd(resized)':>12}{'sd(empirical)':>14}",
+        ]
+
+        def row(label, j, is_null):
+            bias_r = "-" if is_null else f"{self.alpha_resized_mean:.3f}"
+            bias_e = "-" if is_null else f"{self.empirical_alpha_per_coordinate[j]:.3f}"
+            sd_r = (
+                f"{self.sigma_hat_mean[j]:.3f}"
+                if self.sigma_hat_mean is not None
+                else "-"
+            )
+            return (
+                f"{label:<18}{bias_r:>14}{bias_e:>16}"
+                f"{self.classical_se_mean[j]:>14.3f}{sd_r:>12}{self.mle_sd[j]:>14.3f}"
+            )
+
+        if self.null_index is not None:
+            lines.append(row("beta = 0", self.null_index, True))
+        jnn = self.nonnull_index
+        lines.append(row(f"beta = {self.beta_true[jnn]:.3f}", jnn, False))
+        return "\n".join(lines)
+
 
 def run_coverage(
     design: DesignSpec,
@@ -282,7 +423,8 @@ def run_coverage(
     Coefficients are drawn once (from ``design.seed``) and held fixed; X and
     Y are redrawn each repetition unless ``fix_x``. ``gamma_mode`` 'known'
     uses sd(X beta_true) of each repetition's realised X; 'estimated' runs
-    the signal-strength estimator with reduced defaults per repetition.
+    the signal-strength estimator with reduced defaults per repetition, and
+    only when boot-g or boot-t is among ``methods``.
 
     The repetitions run in a pool of worker processes, one per usable CPU
     and at most ``n_reps``, each with both bundled OpenBLAS pools held at
@@ -294,17 +436,7 @@ def run_coverage(
     """
     methods = tuple(methods)
     levels = tuple(float(l) for l in levels)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected subset of {METHODS}")
-    if gamma_mode not in ("known", "estimated"):
-        raise ValueError("gamma_mode must be 'known' or 'estimated'")
-    if n_reps < 2:
-        raise ValueError("n_reps must be at least 2")
-    if "boot-t" in methods:
-        for l in levels:
-            check_boot_t_replicates(B, l)
-
+    check_methods(methods, levels, B)
     run = _Run(
         design=design,
         beta_true=gen_coefficients(design, substream(design.seed, 0)),
@@ -319,55 +451,51 @@ def run_coverage(
             gen_covariates(design, substream(seed, _X_STREAM, 0)) if fix_x else None
         ),
         fit_options=fit_options,
+        method_reps=n_reps,
     )
-    done = [r for r in _run_repetitions(run, n_reps) if r is not None]
-    n_done = len(done)
-    n_failed = n_reps - n_done
-    if n_failed > max_rep_failure_fraction * n_reps:
-        raise TooManyFailuresError(n_failed, n_reps, context="coverage repetition")
+    return _report(run, n_reps, max_rep_failure_fraction, "coverage repetition")
 
-    # sums in repetition order, as a serial loop would add them
-    zeros = np.zeros(design.p)
-    mle_mean = sum((r.beta_hat for r in done), zeros) / n_done
-    beta_sq = sum((r.beta_hat**2 for r in done), zeros)
-    mle_var = np.maximum(beta_sq / n_done - mle_mean**2, 0.0) * n_done / (n_done - 1)
-    resized = [r for r in done if r.alpha is not None]
-    return CoverageReport(
+
+def run_bias_sd_study(
+    design: DesignSpec,
+    n_reps: int = 200,
+    seed: int = 0,
+    *,
+    resized_reps: int = 25,
+    B: int = 100,
+    gamma_mode: str = "known",
+    grid_size: int = 8,
+    reps: int = 2,
+    fit_options: FitOptions = FitOptions(),
+) -> CoverageReport:
+    """Empirical bias and sd of the MLE over ``n_reps`` repetitions, with
+    resized-bootstrap estimates averaged over the first ``resized_reps``
+    repetitions, 0 to ``resized_reps - 1``, less those that failed (running
+    the bootstrap on every repetition would dominate the cost without
+    changing the average). The repetitions run as in ``run_coverage``; the
+    report has no levels, and ``format_bias_sd_table`` prints it."""
+    run = _Run(
         design=design,
-        methods=methods,
-        levels=levels,
-        n_reps_requested=n_reps,
-        n_reps=n_done,
-        n_rep_failed=n_failed,
-        beta_true=run.beta_true,
-        covered={
-            m: {l: np.asarray([r.covered[m, l] for r in done]) for l in levels}
-            for m in methods
-        },
-        mle_mean=mle_mean,
-        mle_sd=np.sqrt(mle_var),
-        classical_se_mean=sum((r.se for r in done), zeros) / n_done,
-        alpha_hats=np.asarray([r.alpha for r in resized]),
-        sigma_hat_mean=(
-            sum((r.sigma for r in resized), zeros) / len(resized) if resized else None
-        ),
-        gamma_mode=gamma_mode,
-        gamma_used=np.asarray([r.gamma for r in done]),
-        gamma_estimates=(
-            np.asarray([r.gamma for r in done])
-            if gamma_mode == "estimated" and done
-            else None
-        ),
-        n_boot_failed=sum(r.n_boot_failed for r in done),
+        beta_true=gen_coefficients(design, substream(design.seed, 0)),
+        methods=("boot-g",),
+        levels=(),
         B=B,
         seed=seed,
+        gamma_mode=gamma_mode,
+        grid_size=grid_size,
+        reps=reps,
+        x_fixed=None,
+        fit_options=fit_options,
+        method_reps=resized_reps,
     )
+    return _report(run, n_reps, 0.2, "bias/sd repetition")
 
 
 @dataclass(frozen=True)
 class _Run:
-    """What every repetition of one coverage run shares. A worker process
-    receives it once, when it starts; a task carries only its repetition."""
+    """What every repetition of one coverage run or bias/sd study shares. A
+    worker process receives it once, when it starts; a task carries only its
+    repetition."""
 
     design: DesignSpec
     beta_true: np.ndarray
@@ -380,6 +508,7 @@ class _Run:
     reps: int
     x_fixed: np.ndarray | None
     fit_options: FitOptions
+    method_reps: int  # repetitions from this index on only fit
 
 
 @dataclass(frozen=True)
@@ -392,14 +521,64 @@ class _Record:
     alpha: float | None  # resized-bootstrap alpha_hat, if boot-g/boot-t ran
     sigma: np.ndarray | None  # resized-bootstrap sigma_hat, likewise
     n_boot_failed: int
-    gamma: float
+    gamma: float | None  # the known gamma, or the estimate if the curve ran
+
+
+def _report(
+    run: _Run, n_reps: int, max_failure_fraction: float, context: str
+) -> CoverageReport:
+    """Run repetitions 0..n_reps-1 of ``run`` and reduce their records."""
+    if run.gamma_mode not in ("known", "estimated"):
+        raise ValueError("gamma_mode must be 'known' or 'estimated'")
+    if n_reps < 2:
+        raise ValueError("n_reps must be at least 2")
+    done = [r for r in _run_repetitions(run, n_reps) if r is not None]
+    n_done = len(done)
+    n_failed = n_reps - n_done
+    if n_failed > max_failure_fraction * n_reps:
+        raise TooManyFailuresError(n_failed, n_reps, context=context)
+
+    # sums in repetition order, as a serial loop would add them
+    zeros = np.zeros(run.design.p)
+    mle_mean = sum((r.beta_hat for r in done), zeros) / n_done
+    beta_sq = sum((r.beta_hat**2 for r in done), zeros)
+    mle_var = np.maximum(beta_sq / n_done - mle_mean**2, 0.0) * n_done / (n_done - 1)
+    resized = [r for r in done if r.alpha is not None]
+    gammas = [r.gamma for r in done if r.gamma is not None]
+    gamma_used = np.asarray(gammas) if gammas else None
+    return CoverageReport(
+        design=run.design,
+        methods=run.methods,
+        levels=run.levels,
+        n_reps_requested=n_reps,
+        n_reps=n_done,
+        n_rep_failed=n_failed,
+        beta_true=run.beta_true,
+        covered={
+            m: {l: np.asarray([r.covered[m, l] for r in done]) for l in run.levels}
+            for m in run.methods
+        },
+        mle_mean=mle_mean,
+        mle_sd=np.sqrt(mle_var),
+        classical_se_mean=sum((r.se for r in done), zeros) / n_done,
+        alpha_hats=np.asarray([r.alpha for r in resized]),
+        sigma_hat_mean=(
+            sum((r.sigma for r in resized), zeros) / len(resized) if resized else None
+        ),
+        gamma_mode=run.gamma_mode,
+        gamma_used=gamma_used,
+        gamma_estimates=gamma_used if run.gamma_mode == "estimated" else None,
+        n_boot_failed=sum(r.n_boot_failed for r in done),
+        B=run.B,
+        seed=run.seed,
+    )
 
 
 def _repetition(run: _Run, rep: int) -> _Record | None:
-    """Repetition ``rep``: draw the data, fit, find gamma, resize, refit B
-    times and check each interval. None when the fit does not converge or a
-    bootstrap or the curve fails."""
-    design, seed, fit_options = run.design, run.seed, run.fit_options
+    """Repetition ``rep``: draw the data, run ``infer`` on them (only the
+    fit from ``run.method_reps`` on) and check each interval. None when the
+    fit, the curve or a bootstrap fails."""
+    design, seed = run.design, run.seed
     X = (
         run.x_fixed
         if run.x_fixed is not None
@@ -407,60 +586,32 @@ def _repetition(run: _Run, rep: int) -> _Record | None:
     )
     y = gen_response(X, run.beta_true, design.family, substream(seed, _Y_STREAM, rep))
     data = Dataset(X=X, y=y, family=design.family)
-    fit = fit_mle(data, fit_options)
-    if fit.status is not FitStatus.CONVERGED:
-        return None
+    methods = run.methods if rep < run.method_reps else ()
+    gamma = sd_linear_predictor(X, run.beta_true) if run.gamma_mode == "known" else None
     try:
-        if run.gamma_mode == "known":
-            gamma = sd_linear_predictor(X, run.beta_true)
-        else:
-            gamma = estimate_gamma(
-                data,
-                fit,
-                grid_size=run.grid_size,
-                reps=run.reps,
-                seed=child_seed(seed, _GAMMA_KEY, rep),
-                fit_options=fit_options,
-            ).gamma_hat
-        summaries: dict[str, tuple[BootstrapSummary, np.ndarray]] = {}
-        if _RESIZED.intersection(run.methods):
-            resized = resize(fit, gamma, X, has_intercept=data.has_intercept)
-            rs = run_bootstrap(
-                data,
-                resized,
-                run.B,
-                child_seed(seed, _BOOT_KEY, rep),
-                fit_options=fit_options,
-            )
-            summaries["resized"] = (rs, resized.beta_star)
-        if "parametric" in run.methods:
-            ps = baseline_bootstraps(
-                data, fit, run.B, "parametric_at_mle",
-                child_seed(seed, _PARAM_KEY, rep), fit_options=fit_options,
-            )
-            summaries["parametric"] = (ps, fit.beta_hat)
-        if "pairs" in run.methods:
-            rs = baseline_bootstraps(
-                data, fit, run.B, "pairs",
-                child_seed(seed, _PAIRS_KEY, rep), fit_options=fit_options,
-            )
-            summaries["pairs"] = (rs, fit.beta_hat)
+        inference = infer(
+            data, methods=methods, levels=run.levels, B=run.B, seed=seed,
+            key=(rep,), gamma=gamma, grid_size=run.grid_size, reps=run.reps,
+            fit_options=run.fit_options,
+        )
     except ResizedBootError:
         return None
 
-    boot = summaries["resized"][0] if "resized" in summaries else None
+    # outside the try: an interval that cannot be built is not a failed
+    # repetition, and its error reaches the caller
+    boot = inference.summary
     return _Record(
         covered={
-            (m, l): _make_interval(m, fit, summaries, l).contains(run.beta_true)
-            for m in run.methods
+            (m, l): inference.interval(m, l).contains(run.beta_true)
+            for m in methods
             for l in run.levels
         },
-        beta_hat=fit.beta_hat,
-        se=classical_se(fit),
+        beta_hat=inference.fit.beta_hat,
+        se=classical_se(inference.fit),
         alpha=boot.alpha_hat if boot else None,
         sigma=boot.sigma_hat if boot else None,
         n_boot_failed=boot.n_failed if boot else 0,
-        gamma=gamma,
+        gamma=inference.gamma_hat if gamma is None else gamma,
     )
 
 
@@ -508,7 +659,8 @@ def _exit_with_caller(caller: int) -> None:
     """Have the kernel kill this worker when the thread that started it
     ends, as when the caller is killed: a worker whose caller is gone would
     otherwise wait for work for ever. The pool starts its workers from the
-    thread that calls ``run_coverage``, which outlives the pool. Linux only."""
+    thread that calls ``run_coverage`` or ``run_bias_sd_study``, which
+    outlives the pool. Linux only."""
     if not sys.platform.startswith("linux"):
         return
     libc = ctypes.CDLL(None)
@@ -519,167 +671,3 @@ def _exit_with_caller(caller: int) -> None:
 
 def _worker_repetition(rep: int) -> _Record | None:
     return _repetition(_worker_run, rep)
-
-
-def _make_interval(method, fit, summaries, level) -> IntervalSet:
-    if method == "classical":
-        return classical_wald_ci(fit, level)
-    if method == "boot-g":
-        s, _ = summaries["resized"]
-        return boot_g_ci(fit, s, level)
-    if method == "boot-t":
-        s, bstar = summaries["resized"]
-        return boot_t_ci(fit, s, bstar, level)
-    # baselines: Gaussian-pivot interval from their own summaries
-    s, _ = summaries[method]
-    ci = boot_g_ci(fit, s, level)
-    return IntervalSet(lo=ci.lo, hi=ci.hi, level=ci.level, method=method)
-
-
-@dataclass
-class BiasSdStudy:
-    """Empirical bias/sd of the MLE versus classical and resized estimates."""
-
-    design: DesignSpec
-    beta_true: np.ndarray
-    mle_mean: np.ndarray
-    mle_sd: np.ndarray
-    classical_se_mean: np.ndarray
-    alpha_hats: np.ndarray
-    sigma_hat_mean: np.ndarray | None
-    gamma_mode: str
-    n_reps: int
-    resized_reps: int
-    B: int
-    seed: int
-    n_rep_failed: int
-
-    @property
-    def alpha_empirical(self) -> float:
-        den = float(self.beta_true @ self.beta_true)
-        return float(self.mle_mean @ self.beta_true / den) if den else float("nan")
-
-    @property
-    def alpha_resized_mean(self) -> float:
-        return float(self.alpha_hats.mean()) if self.alpha_hats.size else float("nan")
-
-    @property
-    def empirical_alpha_per_coordinate(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.beta_true != 0, self.mle_mean / self.beta_true, np.nan)
-
-    def format_table(self) -> str:
-        """Rows for a designated null and the largest non-null coordinate;
-        nulls show '-' in the bias columns."""
-        jnn = int(np.argmax(np.abs(self.beta_true)))
-        nulls = np.flatnonzero(self.beta_true == 0)
-        lines = [
-            f"bias/sd study over {self.n_reps} repetitions "
-            f"(resized estimates from {len(self.alpha_hats)} runs, B={self.B})",
-            f"{'':<18}{'bias(resized)':>14}{'bias(empirical)':>16}"
-            f"{'sd(classical)':>14}{'sd(resized)':>12}{'sd(empirical)':>14}",
-        ]
-
-        def row(label, j, is_null):
-            bias_r = "-" if is_null else f"{self.alpha_resized_mean:.3f}"
-            bias_e = "-" if is_null else f"{self.empirical_alpha_per_coordinate[j]:.3f}"
-            sd_r = (
-                f"{self.sigma_hat_mean[j]:.3f}"
-                if self.sigma_hat_mean is not None
-                else "-"
-            )
-            return (
-                f"{label:<18}{bias_r:>14}{bias_e:>16}"
-                f"{self.classical_se_mean[j]:>14.3f}{sd_r:>12}{self.mle_sd[j]:>14.3f}"
-            )
-
-        if nulls.size:
-            lines.append(row("beta = 0", int(nulls[0]), True))
-        lines.append(row(f"beta = {self.beta_true[jnn]:.3f}", jnn, False))
-        return "\n".join(lines)
-
-
-def run_bias_sd_study(
-    design: DesignSpec,
-    n_reps: int = 200,
-    seed: int = 0,
-    *,
-    resized_reps: int = 25,
-    B: int = 100,
-    gamma_mode: str = "known",
-    grid_size: int = 8,
-    reps: int = 2,
-    fit_options: FitOptions = FitOptions(),
-) -> BiasSdStudy:
-    """Empirical bias and sd of the MLE over ``n_reps`` repetitions, with
-    resized-bootstrap estimates averaged over the first ``resized_reps``
-    repetitions (running the bootstrap on every repetition would dominate
-    the cost without changing the average)."""
-    if n_reps < 2:
-        raise ValueError("n_reps must be at least 2")
-    beta_true = gen_coefficients(design, substream(design.seed, 0))
-    p = design.p
-    beta_sum = np.zeros(p)
-    beta_sq = np.zeros(p)
-    se_sum = np.zeros(p)
-    sigma_sum = np.zeros(p)
-    alpha_hats: list[float] = []
-    n_done = 0
-    n_failed = 0
-    for rep in range(n_reps):
-        X = gen_covariates(design, substream(seed, _X_STREAM, rep))
-        y = gen_response(X, beta_true, design.family, substream(seed, _Y_STREAM, rep))
-        data = Dataset(X=X, y=y, family=design.family)
-        fit = fit_mle(data, fit_options)
-        if fit.status is not FitStatus.CONVERGED:
-            n_failed += 1
-            continue
-        try:
-            if len(alpha_hats) < resized_reps:
-                if gamma_mode == "known":
-                    gamma = sd_linear_predictor(X, beta_true)
-                else:
-                    gamma = estimate_gamma(
-                        data,
-                        fit,
-                        grid_size=grid_size,
-                        reps=reps,
-                        seed=child_seed(seed, _GAMMA_KEY, rep),
-                        fit_options=fit_options,
-                    ).gamma_hat
-                resized = resize(fit, gamma, X, has_intercept=data.has_intercept)
-                summary = run_bootstrap(
-                    data,
-                    resized,
-                    B,
-                    child_seed(seed, _BOOT_KEY, rep),
-                    fit_options=fit_options,
-                )
-                alpha_hats.append(summary.alpha_hat)
-                sigma_sum += summary.sigma_hat
-        except ResizedBootError:
-            n_failed += 1
-            continue
-        beta_sum += fit.beta_hat
-        beta_sq += fit.beta_hat**2
-        se_sum += classical_se(fit)
-        n_done += 1
-    if n_failed > 0.2 * n_reps:
-        raise TooManyFailuresError(n_failed, n_reps, context="bias/sd repetition")
-    mle_mean = beta_sum / n_done
-    mle_var = np.maximum(beta_sq / n_done - mle_mean**2, 0.0) * n_done / (n_done - 1)
-    return BiasSdStudy(
-        design=design,
-        beta_true=beta_true,
-        mle_mean=mle_mean,
-        mle_sd=np.sqrt(mle_var),
-        classical_se_mean=se_sum / n_done,
-        alpha_hats=np.asarray(alpha_hats),
-        sigma_hat_mean=(sigma_sum / len(alpha_hats)) if alpha_hats else None,
-        gamma_mode=gamma_mode,
-        n_reps=n_done,
-        resized_reps=len(alpha_hats),
-        B=B,
-        seed=seed,
-        n_rep_failed=n_failed,
-    )

@@ -2,6 +2,8 @@ import contextlib
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -13,10 +15,13 @@ import numpy as np
 import pytest
 
 import resizedboot
-from resizedboot import CsvParseError, cli, fit_mle
-from resizedboot.cli import export_dataset_csv, main, parse_dataset_csv
+from resizedboot import CsvParseError, cli, fit_mle, infer
+from resizedboot.cli import build_parser, export_dataset_csv, main, parse_dataset_csv
+from resizedboot.coverage import check_methods
+from resizedboot.serialize import fmt
 
 FIXTURE = Path(__file__).parent / "fixtures" / "logistic_n200_p5.csv"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _read(path: Path) -> bytes:
@@ -202,6 +207,53 @@ def test_infer_classical_skips_gamma_and_matches_fit(tmp_path):
     assert summary["eta_tilde"] is None
     assert summary["scale_s"] is None
     assert summary["alpha_hat"] is None
+
+
+def test_library_infer_matches_the_command_bounds(tmp_path):
+    methods = ["classical", "boot-g", "boot-t", "parametric", "pairs"]
+    levels = [0.95, 0.8]
+    argv = ["infer", "--data", str(FIXTURE), "--family", "logistic",
+            "--seed", "5", "--B", "800", "--out", str(tmp_path)]
+    for m in methods:
+        argv += ["--method", m]
+    for lv in levels:
+        argv += ["--level", str(lv)]
+    assert main(argv) == 0
+    inference = infer(
+        parse_dataset_csv(FIXTURE, "logistic"), methods=methods, levels=levels,
+        B=800, seed=5,
+    )
+    rows = []
+    for lv in levels:
+        for m in methods:
+            ci = inference.interval(m, lv)
+            rows += [
+                ",".join([str(j), m, fmt(lv), fmt(ci.lo[j]), fmt(ci.hi[j])])
+                for j in range(ci.lo.shape[0])
+            ]
+    written = (tmp_path / "intervals.csv").read_text().splitlines()
+    assert written[2:] == rows
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every `resizedboot ...` command in the README's code blocks."""
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["resizedboot"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse_and_give_boot_t_enough_replicates():
+    commands = _readme_commands()
+    assert any(c[0] == "coverage" for c in commands)
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if args.command in ("infer", "coverage"):
+            methods, B = cli._methods_and_b(args)
+            check_methods(methods, args.level or [0.95], B)
 
 
 def test_infer_boot_t_with_too_small_b_fails_before_fitting(

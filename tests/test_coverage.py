@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import time
 
@@ -15,6 +16,7 @@ from resizedboot import (
     TooManyFailuresError,
     baseline_bootstraps,
     fit_mle,
+    infer,
     run_bias_sd_study,
     run_coverage,
     run_bootstrap,
@@ -64,13 +66,13 @@ def test_coverage_values_are_proportions(small_report):
 def test_whole_line_intervals_cover_everything(monkeypatch):
     p = 4
 
-    def everything(method, fit, summaries, level):
+    def everything(inference, method, level):
         return IntervalSet(
             lo=np.full(p, -np.inf), hi=np.full(p, np.inf),
             level=level, method=method,
         )
 
-    monkeypatch.setattr(cov, "_make_interval", everything)
+    monkeypatch.setattr(cov.Inference, "interval", everything)
     r = run_coverage(
         _tiny_design(), methods=("classical",), levels=(0.95,),
         n_reps=2, B=10, seed=0, gamma_mode="known",
@@ -110,6 +112,22 @@ def test_estimated_gamma_mode_runs():
     assert np.all(r.gamma_estimates >= 0)
 
 
+def test_estimated_gamma_without_resized_methods_runs_no_curve(monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve ran")
+
+    monkeypatch.setattr(cov, "estimate_gamma", no_curve)
+    r = run_coverage(
+        _tiny_design(n=150, p=15, k=5), methods=("classical",), levels=(0.9,),
+        n_reps=2, B=40, seed=1, gamma_mode="estimated",
+    )
+    assert r.n_reps == 2
+    assert r.gamma_used is None and r.gamma_estimates is None
+    assert r.to_json_dict()["gamma"] == {
+        "mode": "estimated", "used": None, "estimates": None,
+    }
+
+
 def test_bias_sd_study_self_consistent():
     study = run_bias_sd_study(
         _tiny_design(n=150, p=4), n_reps=12, seed=4, resized_reps=3, B=40,
@@ -125,7 +143,7 @@ def test_bias_sd_study_self_consistent():
     assert np.all(np.isfinite(per_coord[study.beta_true != 0]))
     assert 0.5 < study.alpha_resized_mean < 2.0
     assert len(study.alpha_hats) == 3
-    assert "bias" in study.format_table()
+    assert "bias" in study.format_bias_sd_table()
 
 
 def test_coverage_aborts_at_phase_transition():
@@ -187,16 +205,22 @@ def test_unknown_method_rejected():
         run_coverage(_tiny_design(), methods=("magic",), n_reps=2, B=10)
 
 
-# (design, run_coverage keywords): known and estimated gamma, a fixed X, and
-# a design on which repetition 1 of 6 ends separable
+# (study, design, keywords): coverage with known and estimated gamma, a fixed
+# X, and a design on which repetition 1 of 6 ends separable; bias/sd studies
+# with known and estimated gamma
+_COVERAGE = dict(methods=("classical", "boot-g"), levels=(0.9, 0.8), B=40)
 POOL_CASES = {
-    "known": (_tiny_design(), dict(gamma_mode="known", n_reps=4, seed=3)),
+    "known": (run_coverage, _tiny_design(), dict(gamma_mode="known", n_reps=4, seed=3)),
     "estimated": (
+        run_coverage,
         _tiny_design(n=150, p=15, k=5),
         dict(gamma_mode="estimated", n_reps=3, seed=1, grid_size=6, reps=2),
     ),
-    "fix_x": (_tiny_design(), dict(gamma_mode="known", n_reps=4, seed=5, fix_x=True)),
+    "fix_x": (
+        run_coverage, _tiny_design(), dict(gamma_mode="known", n_reps=4, seed=5, fix_x=True)
+    ),
     "failed_rep": (
+        run_coverage,
         DesignSpec(
             n=50, p=8, covariates=GaussianCovariates(),
             coefficients=MixtureCoefficients(k=4, mu=4.0, sd=0.5),
@@ -204,23 +228,37 @@ POOL_CASES = {
         ),
         dict(gamma_mode="known", n_reps=6, seed=3),
     ),
+    "bias_sd_known": (
+        run_bias_sd_study,
+        _tiny_design(n=150),
+        dict(gamma_mode="known", n_reps=5, seed=4, resized_reps=3, B=40),
+    ),
+    "bias_sd_estimated": (
+        run_bias_sd_study,
+        _tiny_design(n=150, p=15, k=5),
+        dict(gamma_mode="estimated", n_reps=4, seed=1, resized_reps=2, B=40,
+             grid_size=6, reps=2),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", POOL_CASES)
 def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, case):
-    design, kw = POOL_CASES[case]
+    study, design, kw = POOL_CASES[case]
+    if study is run_coverage:
+        kw = {**_COVERAGE, **kw}
     outputs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(cov, "_usable_cpus", lambda: workers)
-        report = run_coverage(
-            design, methods=("classical", "boot-g"), levels=(0.9, 0.8), B=40, **kw
-        )
+        report = study(design, **kw)
         path = tmp_path / f"coverage-{workers}.json"
         write_json(path, report.to_json_dict())
         outputs.append(path.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert report.n_rep_failed == (1 if case == "failed_rep" else 0)
+    if study is run_bias_sd_study:
+        # the resized bootstrap runs in repetitions 0..resized_reps-1 only
+        assert report.alpha_hats.shape == (kw["resized_reps"],)
 
 
 def test_error_in_a_repetition_reaches_the_caller(monkeypatch, tmp_path):
@@ -260,3 +298,42 @@ def test_boot_t_with_too_small_b_fails_before_any_repetition(monkeypatch):
             _tiny_design(), methods=("boot-g", "boot-t"), levels=(0.8, 0.95),
             n_reps=4, B=300, gamma_mode="known",
         )
+
+
+def test_boot_t_with_too_few_surviving_replicates_reaches_the_caller(monkeypatch):
+    # B passes the check before any repetition, but one replicate of each
+    # bootstrap fails, which leaves too few for boot-t at the 95% level
+    real = cov.run_bootstrap
+
+    def one_failed(*args, **kwargs):
+        s = real(*args, **kwargs)
+        return dataclasses.replace(s, boot_mles=s.boot_mles[1:], n_failed=1)
+
+    monkeypatch.setattr(cov, "run_bootstrap", one_failed)
+    with pytest.raises(
+        InsufficientBootstrapError,
+        match="boot-t at level 0.95 needs at least 800 replicates; have 799",
+    ):
+        run_coverage(
+            _tiny_design(), methods=("boot-t",), levels=(0.95,),
+            n_reps=2, B=800, gamma_mode="known",
+        )
+
+
+def test_infer_rejects_a_bad_request_before_fitting(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the data were fitted")
+
+    monkeypatch.setattr(cov, "fit_mle", no_fit)
+    data = simulate_logistic(150, 4, seed=6)[0]
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        infer(data, methods=("classical", "magic"), levels=(0.95,), B=100, seed=0)
+    with pytest.raises(
+        InsufficientBootstrapError,
+        match="boot-t at level 0.95 needs at least 800 replicates; have 300",
+    ):
+        infer(data, methods=("boot-t",), levels=(0.8, 0.95), B=300, seed=0)
+    monkeypatch.undo()
+    inference = infer(data, methods=("classical",), levels=(0.95,), B=10, seed=0)
+    with pytest.raises(ValueError, match="method 'boot-g' was not requested"):
+        inference.interval("boot-g", 0.95)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import TooManyFailuresError, ZeroMleError
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, refit_many
+from .fitting import Dataset, FitResult, FitStatus, refit_many
 from .rng import substream
 from .signal_strength import sd_linear_predictor
 
@@ -56,12 +56,11 @@ def resize(
     X: np.ndarray,
     *,
     has_intercept: bool = False,
-    shrink_intercept: bool = False,
 ) -> ResizedCoefficients:
     """Rescale the MLE so sd(X beta_star) equals gamma_hat, clamped to [0, 1].
 
-    The intercept coordinate is copied unscaled unless ``shrink_intercept``
-    is set; shrinking it would distort the case/control mix.
+    The intercept coordinate is copied unscaled: shrinking it would distort
+    the case/control mix.
     """
     if gamma_hat < 0:
         raise ValueError(f"gamma_hat must be non-negative; got {gamma_hat}")
@@ -76,7 +75,7 @@ def resize(
     else:
         scale = min(max(gamma_hat / base, 0.0), 1.0)
     beta_star = scale * fit.beta_hat
-    if has_intercept and not shrink_intercept:
+    if has_intercept:
         beta_star[0] = fit.beta_hat[0]
     return ResizedCoefficients(
         beta_star=beta_star, scale_s=scale, gamma_target=scale * base
@@ -126,7 +125,6 @@ def run_bootstrap(
     B: int,
     seed: int = 0,
     *,
-    fit_options: FitOptions = FitOptions(),
     fail_fraction: float = 0.2,
 ) -> BootstrapSummary:
     """Simulate B datasets at beta_star, refit each, and summarise.
@@ -150,9 +148,9 @@ def run_bootstrap(
             data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b))
             for b in range(lo, min(lo + chunk, B))
         ])
-        betas, statuses = refit_many(data.X, Y, data.family, beta_star, fit_options)
+        fits = refit_many(data.X, Y, data.family, beta_star)
         kept.extend(
-            beta for beta, status in zip(betas, statuses)
+            beta for beta, status in zip(fits.betas, fits.statuses)
             if status is FitStatus.CONVERGED
         )
     n_failed = B - len(kept)

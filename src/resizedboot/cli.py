@@ -14,6 +14,7 @@ arguments produces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -157,12 +158,8 @@ def _resolve_design(value: str, seed: int) -> DesignSpec:
         return named_design(value, seed=seed)
     path = Path(value)
     if path.exists():
-        spec = DesignSpec.from_json_file(path)
         # --seed wins over the file so reruns stay reproducible from the CLI
-        return DesignSpec(
-            n=spec.n, p=spec.p, covariates=spec.covariates,
-            coefficients=spec.coefficients, family=spec.family, seed=seed,
-        )
+        return dataclasses.replace(DesignSpec.from_json_file(path), seed=seed)
     raise ResizedBootError(
         f"--design {value!r} is neither a named design {sorted(DESIGN_NAMES)} "
         "nor a JSON file"

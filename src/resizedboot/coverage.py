@@ -31,7 +31,7 @@ from .bootstrap import (
 )
 from .designs import DesignSpec, gen_coefficients, gen_covariates, gen_response
 from .exceptions import ResizedBootError, TooManyFailuresError
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, fit_mle, newton_fit
+from .fitting import Dataset, FitResult, FitStatus, fit_mle, newton_fit
 from .intervals import (
     IntervalSet,
     boot_g_ci,
@@ -48,6 +48,11 @@ _X_STREAM, _Y_STREAM = 1, 2
 # stage k of infer draws from child_seed(seed, k, *key)
 _GAMMA_KEY, _BOOT_KEY, _PARAM_KEY, _PAIRS_KEY = 3, 4, 5, 6
 _PAIRS_STREAM = 31
+# a baseline bootstrap aborts when more than this share of its refits fail
+_BASELINE_FAIL_FRACTION = 0.5
+# a coverage run or bias/sd study aborts when more than this share of its
+# repetitions fail
+_REP_FAIL_FRACTION = 0.2
 
 METHODS = ("classical", "boot-g", "boot-t", "parametric", "pairs")
 _RESIZED = {"boot-g", "boot-t"}
@@ -65,10 +70,10 @@ def check_methods(methods, levels, B: int) -> None:
             check_boot_t_replicates(B, l)
 
 
-def fit_or_fail(data: Dataset, fit_options: FitOptions = FitOptions()) -> FitResult:
+def fit_or_fail(data: Dataset) -> FitResult:
     """The maximum-likelihood fit of ``data``; ``ResizedBootError`` unless it
     converged."""
-    fit = fit_mle(data, fit_options)
+    fit = fit_mle(data)
     if fit.status is not FitStatus.CONVERGED:
         raise ResizedBootError(
             f"maximum-likelihood fit failed with status '{fit.status.value}'"
@@ -87,19 +92,17 @@ def baseline_bootstraps(
     B: int,
     mode: str,
     seed: int = 0,
-    *,
-    fit_options: FitOptions = FitOptions(),
-    fail_fraction: float = 0.5,
 ) -> BootstrapSummary:
     """Standard bootstraps for comparison; both over-disperse in high
     dimensions (the parametric one inflates the signal strength, the pairs
     one the dimensionality ratio), which is what the resized method fixes.
 
-    ``mode``: 'parametric_at_mle' simulates responses at beta_hat itself;
-    'pairs' resamples rows with replacement. Summaries are reduced exactly
-    like the resized bootstrap, regressing against beta_hat.
+    ``mode``: 'parametric' simulates responses at beta_hat itself; 'pairs'
+    resamples rows with replacement. Summaries are reduced exactly like the
+    resized bootstrap, regressing against beta_hat. More than half of the B
+    refits failing aborts.
     """
-    if mode in ("parametric", "parametric_at_mle"):
+    if mode == "parametric":
         at_mle = ResizedCoefficients(
             beta_star=fit.beta_hat.copy(),
             scale_s=1.0,
@@ -108,20 +111,18 @@ def baseline_bootstraps(
             ),
         )
         return run_bootstrap(
-            data, at_mle, B, seed, fit_options=fit_options, fail_fraction=fail_fraction
+            data, at_mle, B, seed, fail_fraction=_BASELINE_FAIL_FRACTION
         )
     if mode != "pairs":
         raise ValueError(f"unknown baseline mode {mode!r}")
     kept = []
     for b in range(B):
         idx = pairs_indices(seed, b, data.n)
-        res = newton_fit(
-            data.X[idx], data.y[idx], data.family, fit_options, beta0=fit.beta_hat
-        )
+        res = newton_fit(data.X[idx], data.y[idx], data.family, beta0=fit.beta_hat)
         if res.status is FitStatus.CONVERGED:
             kept.append(res.beta_hat)
     n_failed = B - len(kept)
-    if n_failed > fail_fraction * B:
+    if n_failed > _BASELINE_FAIL_FRACTION * B:
         raise TooManyFailuresError(n_failed, B, context="pairs bootstrap")
     return summarize_bootstrap(
         np.asarray(kept), fit.beta_hat, n_failed, has_intercept=data.has_intercept
@@ -169,7 +170,6 @@ def infer(
     gamma: float | None = None,
     grid_size: int = 10,
     reps: int = 3,
-    fit_options: FitOptions = FitOptions(),
 ) -> Inference:
     """The resized-bootstrap pipeline on one dataset: fit, then (for boot-g
     or boot-t only) the signal strength ``gamma``, or its estimate from the
@@ -181,7 +181,7 @@ def infer(
     """
     methods = tuple(methods)
     check_methods(methods, levels, B)
-    fit = fit_or_fail(data, fit_options)
+    fit = fit_or_fail(data)
     gamma_hat = eta_tilde = resized = summary = None
     if _RESIZED.intersection(methods):
         if gamma is not None:
@@ -189,19 +189,15 @@ def infer(
         else:
             curve = estimate_gamma(
                 data, fit, grid_size=grid_size, reps=reps,
-                seed=child_seed(seed, _GAMMA_KEY, *key), fit_options=fit_options,
+                seed=child_seed(seed, _GAMMA_KEY, *key),
             )
             gamma_hat, eta_tilde = curve.gamma_hat, curve.eta_tilde
         resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)
-        summary = run_bootstrap(
-            data, resized, B, child_seed(seed, _BOOT_KEY, *key),
-            fit_options=fit_options,
-        )
+        summary = run_bootstrap(data, resized, B, child_seed(seed, _BOOT_KEY, *key))
     baselines = {
         m: baseline_bootstraps(
             data, fit, B, m,
             child_seed(seed, _PARAM_KEY if m == "parametric" else _PAIRS_KEY, *key),
-            fit_options=fit_options,
         )
         for m in ("parametric", "pairs")
         if m in methods
@@ -415,8 +411,6 @@ def run_coverage(
     grid_size: int = 8,
     reps: int = 2,
     fix_x: bool = False,
-    fit_options: FitOptions = FitOptions(),
-    max_rep_failure_fraction: float = 0.2,
 ) -> CoverageReport:
     """Coverage experiment over ``n_reps`` fresh datasets from ``design``.
 
@@ -430,9 +424,9 @@ def run_coverage(
     and at most ``n_reps``, each with both bundled OpenBLAS pools held at
     one thread (see ``_blas``). Every repetition draws from its own seeded
     streams, and the records are reduced in repetition order, so the report
-    does not depend on the number of workers. An error that a repetition
-    does not count as a failure cancels the repetitions not yet started and
-    is raised here.
+    does not depend on the number of workers. More than a fifth of the
+    repetitions failing aborts. An error that a repetition does not count
+    as a failure cancels the repetitions not yet started and is raised here.
     """
     methods = tuple(methods)
     levels = tuple(float(l) for l in levels)
@@ -450,10 +444,9 @@ def run_coverage(
         x_fixed=(
             gen_covariates(design, substream(seed, _X_STREAM, 0)) if fix_x else None
         ),
-        fit_options=fit_options,
         method_reps=n_reps,
     )
-    return _report(run, n_reps, max_rep_failure_fraction, "coverage repetition")
+    return _report(run, n_reps, "coverage repetition")
 
 
 def run_bias_sd_study(
@@ -466,7 +459,6 @@ def run_bias_sd_study(
     gamma_mode: str = "known",
     grid_size: int = 8,
     reps: int = 2,
-    fit_options: FitOptions = FitOptions(),
 ) -> CoverageReport:
     """Empirical bias and sd of the MLE over ``n_reps`` repetitions, with
     resized-bootstrap estimates averaged over the first ``resized_reps``
@@ -485,10 +477,9 @@ def run_bias_sd_study(
         grid_size=grid_size,
         reps=reps,
         x_fixed=None,
-        fit_options=fit_options,
         method_reps=resized_reps,
     )
-    return _report(run, n_reps, 0.2, "bias/sd repetition")
+    return _report(run, n_reps, "bias/sd repetition")
 
 
 @dataclass(frozen=True)
@@ -507,7 +498,6 @@ class _Run:
     grid_size: int
     reps: int
     x_fixed: np.ndarray | None
-    fit_options: FitOptions
     method_reps: int  # repetitions from this index on only fit
 
 
@@ -524,9 +514,7 @@ class _Record:
     gamma: float | None  # the known gamma, or the estimate if the curve ran
 
 
-def _report(
-    run: _Run, n_reps: int, max_failure_fraction: float, context: str
-) -> CoverageReport:
+def _report(run: _Run, n_reps: int, context: str) -> CoverageReport:
     """Run repetitions 0..n_reps-1 of ``run`` and reduce their records."""
     if run.gamma_mode not in ("known", "estimated"):
         raise ValueError("gamma_mode must be 'known' or 'estimated'")
@@ -535,7 +523,7 @@ def _report(
     done = [r for r in _run_repetitions(run, n_reps) if r is not None]
     n_done = len(done)
     n_failed = n_reps - n_done
-    if n_failed > max_failure_fraction * n_reps:
+    if n_failed > _REP_FAIL_FRACTION * n_reps:
         raise TooManyFailuresError(n_failed, n_reps, context=context)
 
     # sums in repetition order, as a serial loop would add them
@@ -592,7 +580,6 @@ def _repetition(run: _Run, rep: int) -> _Record | None:
         inference = infer(
             data, methods=methods, levels=run.levels, B=run.B, seed=seed,
             key=(rep,), gamma=gamma, grid_size=run.grid_size, reps=run.reps,
-            fit_options=run.fit_options,
         )
     except ResizedBootError:
         return None

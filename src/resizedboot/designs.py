@@ -9,7 +9,7 @@ column variance is unwieldy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -272,46 +272,40 @@ def scaled_to_gamma(
 # The designs exercised throughout: large MVT / ARCH logistic designs, the
 # small heavy-tailed Pareto design, the Poisson variant, and the sparse
 # large-coefficient design.
+_PRESETS = {
+    "mvt-large": DesignSpec(
+        n=4000, p=400, covariates=MvtCovariates(),
+        coefficients=MixtureCoefficients(k=50, mu=5.0, sd=1.0),
+        family="logistic",
+    ),
+    "arch-large": DesignSpec(
+        n=4000, p=400, covariates=ModifiedArchCovariates(),
+        coefficients=MixtureCoefficients(k=50, mu=5.0, sd=1.0),
+        family="logistic",
+    ),
+    "pareto-small": DesignSpec(
+        n=400, p=40, covariates=ParetoCovariates(),
+        coefficients=MixtureCoefficients(k=20, mu=5.0, sd=1.0),
+        family="logistic",
+    ),
+    "poisson-large": DesignSpec(
+        n=4000, p=400, covariates=MvtCovariates(),
+        coefficients=MixtureCoefficients(k=50, mu=3.0, sd=1.0),
+        family="poisson-log",
+    ),
+    "sparse-appendixC": DesignSpec(
+        n=4000, p=400, covariates=ModifiedArchCovariates(),
+        coefficients=FixedMagnitudeCoefficients(k=10, magnitude=10.0),
+        family="logistic",
+    ),
+}
+DESIGN_NAMES = tuple(_PRESETS)
+
+
 def named_design(name: str, seed: int = 0) -> DesignSpec:
-    presets = {
-        "mvt-large": DesignSpec(
-            n=4000, p=400, covariates=MvtCovariates(),
-            coefficients=MixtureCoefficients(k=50, mu=5.0, sd=1.0),
-            family="logistic", seed=seed,
-        ),
-        "arch-large": DesignSpec(
-            n=4000, p=400, covariates=ModifiedArchCovariates(),
-            coefficients=MixtureCoefficients(k=50, mu=5.0, sd=1.0),
-            family="logistic", seed=seed,
-        ),
-        "pareto-small": DesignSpec(
-            n=400, p=40, covariates=ParetoCovariates(),
-            coefficients=MixtureCoefficients(k=20, mu=5.0, sd=1.0),
-            family="logistic", seed=seed,
-        ),
-        "poisson-large": DesignSpec(
-            n=4000, p=400, covariates=MvtCovariates(),
-            coefficients=MixtureCoefficients(k=50, mu=3.0, sd=1.0),
-            family="poisson-log", seed=seed,
-        ),
-        "sparse-appendixC": DesignSpec(
-            n=4000, p=400, covariates=ModifiedArchCovariates(),
-            coefficients=FixedMagnitudeCoefficients(k=10, magnitude=10.0),
-            family="logistic", seed=seed,
-        ),
-    }
     try:
-        return presets[name]
+        return replace(_PRESETS[name], seed=seed)
     except KeyError:
         raise DatasetError(
-            f"unknown design {name!r}; expected one of {sorted(presets)}"
+            f"unknown design {name!r}; expected one of {sorted(_PRESETS)}"
         ) from None
-
-
-DESIGN_NAMES = (
-    "mvt-large",
-    "arch-large",
-    "pareto-small",
-    "poisson-large",
-    "sparse-appendixC",
-)

@@ -1,25 +1,30 @@
 """Damped-Newton maximum-likelihood fitting with separability detection.
 
 The fitter minimises ``sum_i f_{y_i}(x_i @ beta)`` by Newton steps with a
-step-halving line search, so the objective trace is non-increasing (up to
-the rounding floor of the objective in the final iterations). Binary fits
-are flagged ``separable`` instead of ``converged`` when an iterate strictly
-separates the data, i.e. every margin ``y_i * (x_i @ beta)`` is positive: a
+step-halving line search, so the objective is non-increasing (up to its
+rounding floor in the final iterations). Binary fits are flagged
+``separable`` instead of ``converged`` when an iterate strictly separates
+the data, i.e. every margin ``y_i * (x_i @ beta)`` is positive: a
 non-separable dataset keeps at least one observation on the wrong side of
 every hyperplane (objective at least log 2), so the certificate can never
 misfire; runaway coefficient norms and near-zero objectives stay in as
 backstops for quasi-separation.
 
-``newton_fit`` fits one response vector. ``refit_many`` fits many response
-vectors against one shared ``X`` in lockstep blocks, following
-``newton_fit`` rule for rule; the bootstrap and the signal-strength curve
-refit through it.
+There is one Newton engine: ``refit_many`` fits many response vectors
+against one shared ``X`` in lockstep blocks, and reports each replicate's
+status, Newton iteration count and final gradient norm. The bootstrap and
+the signal-strength curve refit through it, and ``newton_fit`` (so
+``fit_mle`` and the pairs bootstrap) is its one-response case. One response
+never builds the column-pair table that stacks a block's Hessians, and it
+tries its step halvings one at a time where a block tries all of a row's
+halvings in one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg, optimize
@@ -92,19 +97,18 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """MLE output. ``hessian`` is the negative log-likelihood Hessian at
-    ``beta_hat`` and ``chol`` its lower Cholesky factor from the
-    post-convergence check (None unless converged); treat the instance as
-    immutable once constructed."""
+    """MLE output: ``n_iter`` Newton iterations, and ``grad_norm`` the
+    gradient norm at ``beta_hat``. ``eta_lin`` is the linear predictor
+    ``X @ beta_hat`` and ``chol`` the lower Cholesky factor of the negative
+    log-likelihood Hessian there, from the post-convergence check; both are
+    None unless converged. Treat the instance as immutable once
+    constructed."""
 
     beta_hat: np.ndarray
-    eta_lin: np.ndarray
-    hessian: np.ndarray
     status: FitStatus
-    grad_norm: float
-    objective: float
     n_iter: int
-    objective_trace: np.ndarray = field(repr=False, default=None)
+    grad_norm: float
+    eta_lin: np.ndarray | None = field(repr=False, default=None)
     chol: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -159,88 +163,19 @@ def newton_fit(
     opts: FitOptions = FitOptions(),
     beta0: np.ndarray | None = None,
 ) -> FitResult:
-    """Low-level fitter on raw arrays (no Dataset validation)."""
-    n, p = X.shape
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
-    trace = []
-    status = FitStatus.MAX_ITER
-    grad_norm = np.inf
-    obj = np.inf
-    polish_left = 3
-    for it in range(opts.max_iter + 1):
-        t = X @ beta
-        obj = float(np.sum(family.nll(y, t)))
-        grad = X.T @ family.d1(y, t)
-        grad_norm = float(np.linalg.norm(grad))
-        trace.append(obj)
-        # A non-separable binary dataset keeps some margin y*t <= 0 at every
-        # beta, so an iterate with all margins positive is itself a strictly
-        # separating direction; the norm and objective rules catch the
-        # quasi-separable escapes to infinity.
-        if family.is_binary and (
-            float(np.min(y * t)) > 0.0
-            or float(np.linalg.norm(beta)) > opts.separable_beta_norm
-            or obj < n * opts.separable_objective
-        ):
-            status = FitStatus.SEPARABLE
-            break
-        if grad_norm <= opts.tol:
-            status = FitStatus.CONVERGED
-            break
-        if it == opts.max_iter:
-            break
-        H = _hessian(X, family.d2(y, t))
-        chol = _cholesky(H, opts.ridge)
-        if chol is None:
-            status = FitStatus.SINGULAR_HESSIAN
-            break
-        direction = linalg.lapack.dpotrs(chol, -grad, lower=1)[0]
-        step = 1.0
-        accepted = None
-        # overshooting trial steps may overflow exp() to inf; such candidates
-        # simply fail the decrease test, so the warning carries no signal
-        with np.errstate(over="ignore"):
-            for _ in range(opts.max_halvings + 1):
-                cand = beta + step * direction
-                cand_obj = float(np.sum(family.nll(y, X @ cand)))
-                if cand_obj < obj:  # accept any decrease; NaN/inf fail
-                    accepted = cand
-                    break
-                step *= 0.5
-        if accepted is None:
-            # No measurable decrease: the objective is at its float floor.
-            # Inside the quadratic basin a full Newton step still contracts
-            # the gradient, so take it (bounded number of times) and let the
-            # gradient test decide. A direction whose norm overflows is not
-            # small either.
-            with np.errstate(over="ignore"):
-                small_step = float(np.linalg.norm(direction)) <= 1e-2 * (
-                    1.0 + float(np.linalg.norm(beta))
-                )
-            if polish_left > 0 and grad_norm < 1e-3 and small_step:
-                polish_left -= 1
-                beta = beta + direction
-                continue
-            break  # stalled at numerical precision without meeting tol
-        beta = accepted
-
-    t = X @ beta
-    H = _hessian(X, family.d2(y, t))
-    L = None
-    if status is FitStatus.CONVERGED:
-        L = _cholesky(H)
-        if L is None:
-            status = FitStatus.SINGULAR_HESSIAN
+    """Fit one response vector on raw arrays (no Dataset validation): the
+    one-row case of ``refit_many``, from ``beta0`` or zero."""
+    end = {}
+    fits = refit_many(
+        X, y, family, np.zeros(np.shape(X)[1]) if beta0 is None else beta0, opts,
+        on_converged=lambda b, t, chol: end.update(eta_lin=t, chol=chol),
+    )
     return FitResult(
-        beta_hat=beta,
-        eta_lin=t,
-        hessian=H,
-        status=status,
-        grad_norm=grad_norm,
-        objective=obj,
-        n_iter=len(trace) - 1,
-        objective_trace=np.asarray(trace),
-        chol=L,
+        beta_hat=fits.betas[0],
+        status=fits.statuses[0],
+        n_iter=int(fits.n_iter[0]),
+        grad_norm=float(fits.grad_norm[0]),
+        **end,
     )
 
 
@@ -257,8 +192,8 @@ def fit_mle(
 # Replicates that share X are refitted in lockstep blocks whose working
 # arrays take about _BLOCK_BYTES. Where the products of every column pair of
 # X (n p (p+1)/2 floats) fit in _PAIRS_BYTES, a block's Hessians come from
-# one matrix product of its weights with those products; otherwise each
-# replicate forms its own, as newton_fit does.
+# one matrix product of its weights with those products; otherwise, and
+# always for a single response, each replicate forms its own.
 _BLOCK_BYTES = 1 << 20
 _PAIRS_BYTES = 4 << 20
 
@@ -299,6 +234,15 @@ def _hessians(X: np.ndarray, pairs, W: np.ndarray):
     return (np.maximum(W, 0.0) @ XX.T)[:, where].reshape(-1, p, p)
 
 
+class Refits(NamedTuple):
+    """What ``refit_many`` found, one entry per replicate."""
+
+    betas: np.ndarray         # (m, p) final coefficients
+    statuses: list[FitStatus]
+    n_iter: np.ndarray        # Newton iterations
+    grad_norm: np.ndarray     # gradient norm at the final coefficients
+
+
 def refit_many(
     X: np.ndarray,
     Y: np.ndarray,
@@ -307,17 +251,18 @@ def refit_many(
     opts: FitOptions = FitOptions(),
     *,
     on_converged=None,
-) -> tuple[np.ndarray, list[FitStatus]]:
-    """Fit every row of ``Y`` against the shared ``X``.
+) -> Refits:
+    """Fit every row of ``Y`` against the shared ``X`` by damped Newton.
 
-    Returns the final coefficients (one row per replicate) and the status of
-    each replicate. ``beta0`` is one start for all or one row each.
-    Replicates run in lockstep blocks of about ``_BLOCK_BYTES`` of working
-    arrays and leave their block as they finish. Each follows ``newton_fit``
-    rule for rule: the separability rules, ``tol`` and ``max_iter``, the
-    ridge retry, step halving, the polish steps, a stall ending as MAX_ITER,
-    and the post-convergence Hessian check; results agree with it to
-    rounding.
+    ``beta0`` is one start for all or one row each. Replicates run in
+    lockstep blocks of about ``_BLOCK_BYTES`` of working arrays and leave
+    their block as they finish. Each one ends as SEPARABLE (binary families:
+    all margins positive, a coefficient norm above ``separable_beta_norm``
+    or an objective below ``n * separable_objective``), CONVERGED (gradient
+    norm at most ``tol``, and a Hessian that factors without a ridge), or
+    SINGULAR_HESSIAN (no factor even after the ridge retry), or else
+    MAX_ITER: after ``max_iter`` iterations, or when no step halving
+    decreases the objective and no polish step is left.
     ``on_converged(b, t, chol)`` is called for each converged replicate b
     with its linear predictor and the lower Cholesky factor of its Hessian.
     """
@@ -325,25 +270,41 @@ def refit_many(
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n, p = X.shape
     m = Y.shape[0]
-    betas = np.array(np.broadcast_to(np.asarray(beta0, dtype=np.float64), (m, p)))
-    statuses = [FitStatus.MAX_ITER] * m
-    pairs = _column_pairs(X) if _stacks_hessians(n, p) else None
+    fits = Refits(
+        betas=np.array(np.broadcast_to(np.asarray(beta0, dtype=np.float64), (m, p))),
+        statuses=[FitStatus.MAX_ITER] * m,
+        n_iter=np.zeros(m, dtype=int),
+        grad_norm=np.full(m, np.inf),
+    )
+    # A row that fails the full Newton step tries its step halvings in one
+    # product. A single response builds no pair table, which would cost more
+    # than its few Hessians save, and tries its halvings one at a time,
+    # longest first, as the reference loop in tests/oracles.py does; its
+    # results then match that loop's to the bit. About one fit in three
+    # searches at all, so the order costs little either way.
+    halvings = 0.5 ** np.arange(1, opts.max_halvings + 1)
+    if m == 1:
+        pairs, halvings = None, halvings[:, None]
+    else:
+        pairs = _column_pairs(X) if _stacks_hessians(n, p) else None
+        halvings = halvings[None]
     rows = _lockstep_rows(n, p)
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
-        _refit_block(X, Y, family, opts, pairs, betas, statuses, idx, on_converged)
-    return betas, statuses
+        _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged)
+    return fits
 
 
-def _refit_block(X, Y, family, opts, pairs, betas, statuses, idx, on_converged):
-    """Lockstep Newton over replicates ``idx``; writes their results back."""
+def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
+    """Lockstep Newton over replicates ``idx``; writes their results back.
+    Each row of ``halvings`` holds step lengths below 1 that are tried in
+    one product, longest first."""
     n, p = X.shape
-    beta = betas[idx]
+    beta = fits.betas[idx]
     y = Y[idx]
     T = beta @ X.T
     obj = family.nll(y, T).sum(axis=1)
     polish_left = np.full(idx.size, 3)
-    halvings = 0.5 ** np.arange(1, opts.max_halvings + 1)
     for it in range(opts.max_iter + 1):
         G = family.d1(y, T) @ X
         grad_norm = np.linalg.norm(G, axis=1)
@@ -378,13 +339,13 @@ def _refit_block(X, Y, family, opts, pairs, betas, statuses, idx, on_converged):
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
 
         # Line search: every row tries the full step, and a row that fails
-        # it tries all its halvings at once and takes the longest that
-        # decreases the objective. The accepted predictor and objective
-        # carry over to the next pass, where newton_fit recomputes them.
+        # it tries its halvings and takes the longest that decreases the
+        # objective; the accepted predictor and objective carry over to the
+        # next pass. An overflowing trial step fails the decrease test, so
+        # the overflow warning carries no signal.
         trial = np.array(
             [r for r in np.flatnonzero(stepping).tolist() if r not in done], dtype=int
         )
-        # as in newton_fit: an overflowing trial step fails the decrease test
         with np.errstate(over="ignore"):
             cand = beta[trial] + direction[trial]
             T_cand = cand @ X.T
@@ -392,31 +353,39 @@ def _refit_block(X, Y, family, opts, pairs, betas, statuses, idx, on_converged):
             ok = obj_cand < obj[trial]
             beta[trial[ok]], T[trial[ok]], obj[trial[ok]] = cand[ok], T_cand[ok], obj_cand[ok]
             for r in trial[~ok].tolist():
-                cand = beta[r] + halvings[:, None] * direction[r]
-                T_cand = cand @ X.T
-                obj_cand = family.nll(y[r], T_cand).sum(axis=1)
-                hit = np.flatnonzero(obj_cand < obj[r])
-                if hit.size:
-                    h = hit[0]
-                    beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
-                    continue
-                # no decrease at any step length: newton_fit's polish rule
-                small_step = float(np.linalg.norm(direction[r])) <= 1e-2 * (
-                    1.0 + float(np.linalg.norm(beta[r]))
-                )
-                if polish_left[r] > 0 and grad_norm[r] < 1e-3 and small_step:
-                    polish_left[r] -= 1
-                    beta[r] = beta[r] + direction[r]
-                    T[r] = X @ beta[r]
-                    obj[r] = family.nll(y[r], T[r]).sum()
+                for steps in halvings:
+                    cand = beta[r] + steps[:, None] * direction[r]
+                    T_cand = cand @ X.T
+                    obj_cand = family.nll(y[r], T_cand).sum(axis=1)
+                    hit = np.flatnonzero(obj_cand < obj[r])
+                    if hit.size:
+                        h = hit[0]
+                        beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
+                        break
                 else:
-                    done[r] = FitStatus.MAX_ITER
+                    # No decrease at any step length: the objective is at its
+                    # float floor. Inside the quadratic basin a full Newton
+                    # step still contracts the gradient, so take it (at most
+                    # three times) and let the gradient test decide; else a
+                    # stall.
+                    small_step = float(np.linalg.norm(direction[r])) <= 1e-2 * (
+                        1.0 + float(np.linalg.norm(beta[r]))
+                    )
+                    if polish_left[r] > 0 and grad_norm[r] < 1e-3 and small_step:
+                        polish_left[r] -= 1
+                        beta[r] = beta[r] + direction[r]
+                        T[r] = X @ beta[r]
+                        obj[r] = family.nll(y[r], T[r]).sum()
+                    else:
+                        done[r] = FitStatus.MAX_ITER
 
         if done:
             rows = np.fromiter(done, dtype=int, count=len(done))
-            betas[idx[rows]] = beta[rows]
+            fits.betas[idx[rows]] = beta[rows]
+            fits.n_iter[idx[rows]] = it
+            fits.grad_norm[idx[rows]] = grad_norm[rows]
             for r, status in done.items():
-                statuses[idx[r]] = status
+                fits.statuses[idx[r]] = status
             keep = np.ones(idx.size, dtype=bool)
             keep[rows] = False
             if not keep.any():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CurveNotBracketingError, FitFailedError, ResizedBootError
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, refit_many
+from .fitting import Dataset, FitResult, FitStatus, refit_many
 from .rng import substream
 from .sloe import sloe_estimate, sloe_from_factor
 
@@ -134,9 +134,6 @@ def estimate_gamma(
     grid_size: int = 10,
     reps: int = 3,
     seed: int = 0,
-    *,
-    span: float = 0.75,
-    fit_options: FitOptions = FitOptions(),
 ) -> GammaCurve:
     """Estimate gamma by inverting the simulated eta(gamma) curve.
 
@@ -178,7 +175,7 @@ def estimate_gamma(
         except ResizedBootError:
             pass
 
-    refit_many(data.X, Y, data.family, beta0, fit_options, on_converged=record)
+    refit_many(data.X, Y, data.family, beta0, on_converged=record)
     eta_samples = etas.reshape(grid_size, reps)
 
     keep = ~np.isnan(eta_samples)
@@ -193,7 +190,7 @@ def estimate_gamma(
     pts_eta = eta_samples.ravel()[keep.ravel()]
     smooth_gamma = gamma_grid[knot_alive]
     smooth_eta = isotonic_non_decreasing(
-        loess_smooth(pts_gamma, pts_eta, smooth_gamma, span=span)
+        loess_smooth(pts_gamma, pts_eta, smooth_gamma)
     )
     gamma_hat = invert_monotone_curve(smooth_gamma, smooth_eta, eta_tilde)
     return GammaCurve(

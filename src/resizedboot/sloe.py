@@ -23,6 +23,9 @@ from .exceptions import FitFailedError, LeverageDegenerateError
 from .families import Family
 from .fitting import Dataset, FitOptions, FitResult, FitStatus, fit_mle
 
+# a leave-one-out denominator 1 - w_i f''_i at or below this is degenerate
+_LEVERAGE_GUARD = 1e-8
+
 
 @dataclass
 class SloeEstimate:
@@ -31,15 +34,11 @@ class SloeEstimate:
     w_values: np.ndarray
 
 
-def sloe_estimate(
-    data: Dataset, fit: FitResult, *, leverage_guard: float = 1e-8
-) -> SloeEstimate:
+def sloe_estimate(data: Dataset, fit: FitResult) -> SloeEstimate:
     """Leave-one-out estimate of eta = sd of a new observation's x' beta_hat."""
     if fit.status is not FitStatus.CONVERGED:
         raise ValueError(f"sloe_estimate requires a converged fit, got {fit.status.value}")
-    return sloe_from_factor(
-        data.X, data.y, data.family, fit.eta_lin, fit.chol, leverage_guard=leverage_guard
-    )
+    return sloe_from_factor(data.X, data.y, data.family, fit.eta_lin, fit.chol)
 
 
 def sloe_from_factor(
@@ -48,8 +47,6 @@ def sloe_from_factor(
     family: Family,
     t: np.ndarray,
     chol: np.ndarray,
-    *,
-    leverage_guard: float = 1e-8,
 ) -> SloeEstimate:
     """``sloe_estimate`` from a converged fit's linear predictor ``t`` and
     the lower Cholesky factor ``chol`` of its Hessian."""
@@ -64,11 +61,11 @@ def sloe_from_factor(
     Z = L_inv @ X.T
     w = np.einsum("ij,ij->j", Z, Z)  # x_i' H^-1 x_i without forming H^-1
     denom = 1.0 - w * d2
-    if np.any(denom <= leverage_guard):
+    if np.any(denom <= _LEVERAGE_GUARD):
         worst = int(np.argmin(denom))
         raise LeverageDegenerateError(
             f"observation {worst} has 1 - w*f'' = {denom[worst]:.3e} <= "
-            f"{leverage_guard:g}; the leave-one-out approximation is unreliable"
+            f"{_LEVERAGE_GUARD:g}; the leave-one-out approximation is unreliable"
         )
     q = w / denom
     s = t + q * d1

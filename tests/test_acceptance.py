@@ -139,7 +139,7 @@ def test_criterion_6_standard_bootstraps_overshoot_resized():
     resized_coef = resize(fit, curve.gamma_hat, data.X)
     resized = run_bootstrap(data, resized_coef, 200, child_seed(11, 2))
     parametric = baseline_bootstraps(
-        data, fit, 200, "parametric_at_mle", child_seed(11, 3)
+        data, fit, 200, "parametric", child_seed(11, 3)
     )
     pairs = baseline_bootstraps(data, fit, 200, "pairs", child_seed(11, 4))
     j = int(np.argmax(np.abs(beta_true)))

@@ -19,6 +19,10 @@ from resizedboot import (
 from conftest import simulate_logistic
 from oracles import monte_carlo_mles
 
+# the engine silences only the overflow of trial steps; any other floating
+# point warning from a fit is a fault
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def small_fit():

@@ -162,7 +162,7 @@ def test_coverage_aborts_at_phase_transition():
 def test_parametric_baseline_is_run_bootstrap_at_scale_one():
     data = simulate_logistic(150, 4, seed=6)[0]
     fit = fit_mle(data)
-    base = baseline_bootstraps(data, fit, B=30, mode="parametric_at_mle", seed=9)
+    base = baseline_bootstraps(data, fit, B=30, mode="parametric", seed=9)
     at_mle = ResizedCoefficients(
         beta_star=fit.beta_hat.copy(), scale_s=1.0,
         gamma_target=sd_linear_predictor(data.X, fit.beta_hat),
@@ -176,7 +176,7 @@ def test_pairs_baseline_runs_and_differs_from_parametric():
     data = simulate_logistic(150, 4, seed=6)[0]
     fit = fit_mle(data)
     pairs = baseline_bootstraps(data, fit, B=30, mode="pairs", seed=9)
-    par = baseline_bootstraps(data, fit, B=30, mode="parametric_at_mle", seed=9)
+    par = baseline_bootstraps(data, fit, B=30, mode="parametric", seed=9)
     assert pairs.boot_mles.shape[1] == data.p
     assert not np.array_equal(pairs.boot_mles, par.boot_mles)
     with pytest.raises(ValueError):

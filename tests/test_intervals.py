@@ -25,13 +25,9 @@ def _fit_stub(beta, hessian):
     hessian = np.asarray(hessian, dtype=float)
     return FitResult(
         beta_hat=beta,
-        eta_lin=np.zeros(1),
-        hessian=hessian,
         status=FitStatus.CONVERGED,
-        grad_norm=0.0,
-        objective=0.0,
         n_iter=0,
-        objective_trace=np.zeros(1),
+        grad_norm=0.0,
         chol=np.linalg.cholesky(hessian),
     )
 

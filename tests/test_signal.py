@@ -176,13 +176,13 @@ def test_knot_with_all_failed_replicates_is_dropped(monkeypatch):
     grid_size, reps = 6, 2
     real = ss.refit_many
 
-    def flaky(X, Y, family, beta0, opts, *, on_converged):
+    def flaky(X, Y, family, beta0, *, on_converged):
         # the curve learns of a converged replicate only through the callback
         def report(b, t, chol):
             if b // reps != 2:  # every replicate of knot 2 fails
                 on_converged(b, t, chol)
 
-        return real(X, Y, family, beta0, opts, on_converged=report)
+        return real(X, Y, family, beta0, on_converged=report)
 
     monkeypatch.setattr(ss, "refit_many", flaky)
     curve = estimate_gamma(data, fit, grid_size=grid_size, reps=reps, seed=77)

@@ -87,8 +87,8 @@ def test_sloe_tracks_exact_loo_closely():
 def test_leverage_guard_triggers():
     data, _ = simulate_logistic(100, 5, seed=2)
     fit = fit_mle(data)
-    fit.hessian = fit.hessian / 1e4  # inflates w_i so 1 - w f'' goes negative
-    fit.chol = fit.chol / 1e2  # the Cholesky factor of that Hessian
+    # the factor of the Hessian / 1e4: inflates w_i so 1 - w f'' goes negative
+    fit.chol = fit.chol / 1e2
     with pytest.raises(LeverageDegenerateError):
         sloe_estimate(data, fit)
 

@@ -1,5 +1,6 @@
 """Dump a simulated eta(gamma) curve for one dataset at a chosen true signal
-strength, in the plot-ready CSV format of the `curve` CLI command."""
+strength to CSV: two comment lines (eta_tilde, gamma_hat), then the columns
+s, gamma, replicate and eta_hat, one row per usable replicate."""
 
 import argparse
 

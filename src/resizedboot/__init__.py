@@ -60,7 +60,6 @@ from .fitting import (
     FitOptions,
     FitResult,
     FitStatus,
-    find_separating_direction,
     fit_mle,
     newton_fit,
     refit_many,
@@ -81,6 +80,6 @@ from .signal_strength import (
     loess_smooth,
     sd_linear_predictor,
 )
-from .sloe import SloeEstimate, loo_oracle, sloe_estimate
+from .sloe import SloeEstimate, sloe_estimate
 
 __version__ = "0.1.0"

@@ -104,12 +104,15 @@ def parse_dataset_csv(path, family, has_intercept: bool = False) -> Dataset:
     try:
         family.validate_y(y)
     except ResizedBootError as exc:
-        bad = _first_bad_response(y, family)
-        if bad is not None:
-            raise CsvParseError(
-                f"{path}: line {line_numbers[bad]}: invalid response {y[bad]!r} "
-                f"for family {family.name}"
-            ) from None
+        for i in range(y.size):
+            try:
+                family.validate_y(y[i:i + 1])
+            except ResizedBootError:
+                raise CsvParseError(
+                    f"{path}: line {line_numbers[i]}: invalid response "
+                    f"{float(y[i])!r} for family {family.name}"
+                ) from None
+        # e.g. a mixed {0,-1} encoding: no single offending row
         raise CsvParseError(f"{path}: {exc}") from None
     if has_intercept:
         X = np.hstack([np.ones((X.shape[0], 1)), X])
@@ -118,16 +121,6 @@ def parse_dataset_csv(path, family, has_intercept: bool = False) -> Dataset:
             f"{path}: n >= p+1 required; got n={X.shape[0]}, p={X.shape[1]}"
         )
     return Dataset(X=X, y=y, family=family, has_intercept=has_intercept)
-
-
-def _first_bad_response(y: np.ndarray, family) -> int | None:
-    for i, v in enumerate(y):
-        if family.is_binary:
-            if v not in (0.0, 1.0, -1.0):
-                return i
-        elif v < 0 or v != math.floor(v):
-            return i
-    return None  # e.g. a mixed {0,-1} encoding: no single offending row
 
 
 def export_dataset_csv(path, data: Dataset) -> None:

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .exceptions import DatasetError
 from .families import Family, get_family
@@ -392,28 +392,3 @@ def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
                 return
             beta, y, T, obj = beta[keep], y[keep], T[keep], obj[keep]
             idx, polish_left = idx[keep], polish_left[keep]
-
-
-def find_separating_direction(
-    X: np.ndarray, y: np.ndarray, *, margin_tol: float = 1e-7
-) -> np.ndarray | None:
-    """LP feasibility check for strict linear separation of a binary dataset.
-
-    Maximises the margin eps subject to ``y_i * (x_i @ w) >= eps`` with
-    ``|w|_inf <= 1``. Returns a separating direction if the optimal margin
-    exceeds ``margin_tol``, else None. Diagnostic only; the fitter itself
-    detects separability from the Newton iterates.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = X.shape
-    # variables z = (w_1..w_p, eps); maximise eps
-    c = np.zeros(p + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-(y[:, None] * X), np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    bounds = [(-1.0, 1.0)] * p + [(0.0, 1.0)]
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status == 0 and res.x is not None and res.x[-1] > margin_tol:
-        return res.x[:-1]
-    return None

@@ -19,6 +19,7 @@ from .rng import substream
 from .sloe import sloe_estimate, sloe_from_factor
 
 _KNOT_STREAM = 17  # spawn-key namespace for knot/replicate substreams
+_LOESS_SPAN = 0.75  # share of the curve's points in each local fit
 
 
 def sd_linear_predictor(
@@ -56,15 +57,13 @@ class GammaCurve:
     seed: int
 
 
-def loess_smooth(
-    x: np.ndarray, y: np.ndarray, x_eval: np.ndarray, span: float = 0.75
-) -> np.ndarray:
+def loess_smooth(x: np.ndarray, y: np.ndarray, x_eval: np.ndarray) -> np.ndarray:
     """Local linear regression with tricube weights over the nearest
-    ``ceil(span * len(x))`` points, evaluated at ``x_eval``."""
+    ``ceil(_LOESS_SPAN * len(x))`` points, evaluated at ``x_eval``."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m = x.size
-    q = max(2, min(m, int(np.ceil(span * m))))
+    q = max(2, min(m, int(np.ceil(_LOESS_SPAN * m))))
     out = np.empty(np.size(x_eval))
     for k, x0 in enumerate(np.asarray(x_eval, dtype=np.float64)):
         d = np.abs(x - x0)

@@ -7,9 +7,6 @@ full fit via one Newton correction, then takes the spread of those values:
     q_i = w_i / (1 - w_i * f''_{y_i}(t_i))
     S_i = x_i' beta_hat + q_i * f'_{y_i}(t_i)
     eta_hat^2 = mean(S^2) - mean(S)^2        (1/n normalisation)
-
-``loo_oracle`` is the brute-force counterpart (n full refits); it exists for
-validation and tests only.
 """
 
 from __future__ import annotations
@@ -19,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .exceptions import FitFailedError, LeverageDegenerateError
+from .exceptions import LeverageDegenerateError
 from .families import Family
-from .fitting import Dataset, FitOptions, FitResult, FitStatus, fit_mle
+from .fitting import Dataset, FitResult, FitStatus
 
 # a leave-one-out denominator 1 - w_i f''_i at or below this is degenerate
 _LEVERAGE_GUARD = 1e-8
@@ -71,24 +68,3 @@ def sloe_from_factor(
     s = t + q * d1
     eta_sq = float(np.var(s))
     return SloeEstimate(eta_hat=float(np.sqrt(max(eta_sq, 0.0))), s_values=s, w_values=w)
-
-
-def loo_oracle(data: Dataset, opts: FitOptions = FitOptions()) -> float:
-    """Exact leave-one-out sd of x_i' beta_(i), by n full refits."""
-    n = data.n
-    preds = np.empty(n)
-    for i in range(n):
-        sub = Dataset(
-            X=np.delete(data.X, i, axis=0),
-            y=np.delete(data.y, i),
-            family=data.family,
-            has_intercept=data.has_intercept,
-        )
-        res = fit_mle(sub, opts)
-        if res.status is not FitStatus.CONVERGED:
-            raise FitFailedError(
-                f"leave-one-out refit without observation {i} ended with "
-                f"status {res.status.value}"
-            )
-        preds[i] = data.X[i] @ res.beta_hat
-    return float(np.std(preds))

@@ -1,9 +1,15 @@
 """Independent reference implementations used only to check the library.
 
-These deliberately avoid the code paths they validate: the minimizer below
-is first-order (gradients only, no Hessian, no Newton machinery), and
-``reference_newton_fit`` is a frozen one-response Newton loop that shares
-only the Hessian and Cholesky helpers with the lockstep engine.
+These deliberately avoid the code paths they validate:
+
+- ``first_order_minimize`` is first-order (gradients only, no Hessian, no
+  Newton machinery);
+- ``reference_newton_fit`` is a frozen one-response Newton loop that shares
+  only the Hessian and Cholesky helpers with the lockstep engine;
+- ``find_separating_direction`` decides strict linear separation by linear
+  programming, where the fitter reads it off its Newton iterates;
+- ``loo_oracle`` computes the exact leave-one-out spread that
+  ``sloe_estimate`` approximates from one fit, by n full refits.
 """
 
 from __future__ import annotations
@@ -11,9 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, optimize
 
-from resizedboot.fitting import FitOptions, FitStatus, _cholesky, _hessian
+from resizedboot import FitFailedError
+from resizedboot.fitting import (
+    Dataset,
+    FitOptions,
+    FitStatus,
+    _cholesky,
+    _hessian,
+    fit_mle,
+)
 
 
 def first_order_minimize(X, y, family, *, tol=1e-8, max_iter=500_000):
@@ -172,3 +186,46 @@ def reference_newton_fit(X, y, family, opts=FitOptions(), beta0=None) -> Referen
         objective_trace=np.asarray(trace),
         chol=L,
     )
+
+
+def find_separating_direction(X, y, *, margin_tol=1e-7):
+    """LP feasibility check for strict linear separation of a binary dataset.
+
+    Maximises the margin eps subject to ``y_i * (x_i @ w) >= eps`` with
+    ``|w|_inf <= 1``. Returns a separating direction if the optimal margin
+    exceeds ``margin_tol``, else None.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    # variables z = (w_1..w_p, eps); maximise eps
+    c = np.zeros(p + 1)
+    c[-1] = -1.0
+    A_ub = np.hstack([-(y[:, None] * X), np.ones((n, 1))])
+    b_ub = np.zeros(n)
+    bounds = [(-1.0, 1.0)] * p + [(0.0, 1.0)]
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if res.status == 0 and res.x is not None and res.x[-1] > margin_tol:
+        return res.x[:-1]
+    return None
+
+
+def loo_oracle(data: Dataset) -> float:
+    """Exact leave-one-out sd of x_i' beta_(i), by n full refits."""
+    n = data.n
+    preds = np.empty(n)
+    for i in range(n):
+        sub = Dataset(
+            X=np.delete(data.X, i, axis=0),
+            y=np.delete(data.y, i),
+            family=data.family,
+            has_intercept=data.has_intercept,
+        )
+        res = fit_mle(sub)
+        if res.status is not FitStatus.CONVERGED:
+            raise FitFailedError(
+                f"leave-one-out refit without observation {i} ended with "
+                f"status {res.status.value}"
+            )
+        preds[i] = data.X[i] @ res.beta_hat
+    return float(np.std(preds))

@@ -23,7 +23,6 @@ from resizedboot import (
     gen_response,
     generate_dataset,
     get_family,
-    loo_oracle,
     named_design,
     resize,
     run_bias_sd_study,
@@ -36,7 +35,7 @@ from resizedboot import (
 from resizedboot.cli import main
 from resizedboot.rng import child_seed, substream
 
-from oracles import first_order_minimize, monte_carlo_mles
+from oracles import first_order_minimize, loo_oracle, monte_carlo_mles
 
 FIXTURE = Path(__file__).parent / "fixtures" / "logistic_n200_p5.csv"
 

@@ -49,8 +49,26 @@ def test_parse_intercept_prepends_ones():
 def test_parse_rejects_negative_poisson_named_line(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("y,x0\n1.0,0.2\n-1.0,0.3\n2.0,0.4\n")
-    with pytest.raises(CsvParseError, match="line 3"):
+    with pytest.raises(CsvParseError) as err:
         parse_dataset_csv(f, "poisson-log")
+    assert str(err.value) == f"{f}: line 3: invalid response -1.0 for family poisson-log"
+
+
+def test_parse_binary_response_errors_name_the_row_when_one_is_bad(tmp_path):
+    f = tmp_path / "bad.csv"
+    f.write_text("y,x0\n1.0,0.2\n2.0,0.3\n0.0,0.4\n")
+    with pytest.raises(CsvParseError) as err:
+        parse_dataset_csv(f, "probit")
+    assert str(err.value) == f"{f}: line 3: invalid response 2.0 for family probit"
+    # a mixed {0, -1, +1} column has no single bad row
+    g = tmp_path / "mixed.csv"
+    g.write_text("y,x0\n0.0,0.2\n-1.0,0.3\n1.0,0.4\n0.0,0.5\n")
+    with pytest.raises(CsvParseError) as err:
+        parse_dataset_csv(g, "logistic")
+    assert str(err.value) == (
+        f"{g}: logistic response must be coded in {{0,1}} or {{-1,+1}}; "
+        "saw values [-1.0, 0.0, 1.0]"
+    )
 
 
 def test_parse_rejects_non_finite_with_position(tmp_path):
@@ -371,12 +389,17 @@ def test_commands_are_byte_deterministic(tmp_path, argv):
         assert _read(outs[0] / name) == _read(outs[1] / name), name
 
 
+def _checkout_env() -> dict:
+    """Environment for a fresh interpreter that imports this checkout's src."""
+    src = str(Path(resizedboot.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point_matches_in_process_main(tmp_path):
     # a fresh interpreter runs __main__ and starts its BLAS thread pools anew;
     # coverage also starts its worker processes from that entry point
-    src = str(Path(resizedboot.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _checkout_env()
     commands = {
         "fit": ["fit", "--data", str(FIXTURE), "--family", "logistic", "--seed", "7"],
         "coverage": ["coverage", "--design", "pareto-small", "--seed", "7",
@@ -395,6 +418,27 @@ def test_module_entry_point_matches_in_process_main(tmp_path):
         assert names == sorted(p.name for p in inproc.iterdir()) and names
         for name in names:
             assert _read(sub / name) == _read(inproc / name), (command, name)
+
+
+def test_commands_load_no_optimisation_or_sparse_scipy(tmp_path):
+    # the method needs only SciPy's linalg and special; the LP separability
+    # check and other test oracles live in tests/oracles.py
+    script = (
+        "import sys\n"
+        "from resizedboot.cli import main\n"
+        f"data, out = {str(FIXTURE)!r}, {str(tmp_path)!r}\n"
+        "for cmd in ('fit', 'curve'):\n"
+        "    argv = [cmd, '--data', data, '--family', 'logistic', '--seed', '7']\n"
+        "    assert main(argv + ['--out', out + '/' + cmd]) == 0, cmd\n"
+        "print(' '.join(m for m in ('scipy.optimize', 'scipy.sparse',\n"
+        "                           'scipy.spatial', 'scipy.stats') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_checkout_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
 
 
 def _stat(pid: str) -> list[str]:

@@ -8,7 +8,6 @@ from resizedboot import (
     FitOptions,
     FitResult,
     FitStatus,
-    find_separating_direction,
     fit_mle,
     get_family,
     newton_fit,
@@ -16,7 +15,11 @@ from resizedboot import (
 )
 
 from conftest import simulate_logistic
-from oracles import first_order_minimize, reference_newton_fit
+from oracles import (
+    find_separating_direction,
+    first_order_minimize,
+    reference_newton_fit,
+)
 
 # the engine silences only the overflow of trial steps; any other floating
 # point warning from a fit is a fault

@@ -6,11 +6,11 @@ from resizedboot import (
     FitFailedError,
     LeverageDegenerateError,
     fit_mle,
-    loo_oracle,
     sloe_estimate,
 )
 
 from conftest import simulate_logistic
+from oracles import loo_oracle
 
 
 def _zero_mle_dataset():

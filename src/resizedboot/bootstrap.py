@@ -5,6 +5,8 @@ estimated signal strength (never inflating: the scale is clamped at 1).
 ``run_bootstrap`` holds X fixed, simulates B response vectors at the resized
 coefficients, refits each, and reduces the surviving replicates to the
 per-coordinate spread sigma_hat and the common inflation factor alpha_hat.
+``refit_replicates`` is that refit-and-reduce loop, which the pairs
+bootstrap shares with weighted replicates.
 """
 
 from __future__ import annotations
@@ -129,33 +131,59 @@ def run_bootstrap(
 ) -> BootstrapSummary:
     """Simulate B datasets at beta_star, refit each, and summarise.
 
-    Replicate b draws its responses from its own substream, and the
-    replicates are simulated and refitted by ``refit_many`` in chunks, so
-    replicate b's MLE depends neither on B nor on the chunking. Failed
-    replicates (separable or non-converged) are discarded and counted,
-    never retried. More than ``fail_fraction`` failures aborts: that many
-    non-existent bootstrap MLEs signal a design at or over the phase
-    boundary.
+    Replicate b draws its responses from its own substream, so its MLE
+    depends neither on B nor on the chunking of ``refit_replicates``, which
+    refits them and reduces the survivors.
+    """
+    beta_star = np.asarray(resized.beta_star, dtype=np.float64)
+    t_star = data.X @ beta_star
+
+    def draw(bs):
+        Y = np.array([
+            data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b)) for b in bs
+        ])
+        return Y, None
+
+    return refit_replicates(
+        data, beta_star, B, draw, fail_fraction=fail_fraction, context="bootstrap"
+    )
+
+
+def refit_replicates(
+    data: Dataset,
+    beta0: np.ndarray,
+    B: int,
+    draw,
+    *,
+    fail_fraction: float,
+    context: str,
+) -> BootstrapSummary:
+    """Refit B bootstrap replicates from ``beta0`` and summarise them
+    against it.
+
+    ``draw(bs)`` gives the responses and the weights (None for unit
+    weights) of the replicates in the range ``bs``, as ``refit_many`` takes
+    them. The replicates are drawn and refitted in chunks of about
+    ``_RESPONSE_BYTES`` of responses. Failed replicates (separable or
+    non-converged) are discarded and counted, never retried. More than
+    ``fail_fraction`` failures raises ``TooManyFailuresError`` naming
+    ``context``: that many non-existent bootstrap MLEs signal a design at or
+    over the phase boundary.
     """
     if B < 2:
         raise ValueError("B must be at least 2")
-    beta_star = np.asarray(resized.beta_star, dtype=np.float64)
-    t_star = data.X @ beta_star
     chunk = max(1, _RESPONSE_BYTES // (8 * data.n))
     kept = []
     for lo in range(0, B, chunk):
-        Y = np.array([
-            data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b))
-            for b in range(lo, min(lo + chunk, B))
-        ])
-        fits = refit_many(data.X, Y, data.family, beta_star)
+        Y, weights = draw(range(lo, min(lo + chunk, B)))
+        fits = refit_many(data.X, Y, data.family, beta0, weights=weights)
         kept.extend(
             beta for beta, status in zip(fits.betas, fits.statuses)
             if status is FitStatus.CONVERGED
         )
     n_failed = B - len(kept)
     if n_failed > fail_fraction * B:
-        raise TooManyFailuresError(n_failed, B)
+        raise TooManyFailuresError(n_failed, B, context=context)
     return summarize_bootstrap(
-        np.asarray(kept), beta_star, n_failed, has_intercept=data.has_intercept
+        np.asarray(kept), beta0, n_failed, has_intercept=data.has_intercept
     )

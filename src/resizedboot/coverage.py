@@ -25,13 +25,13 @@ from ._blas import hold_single_thread
 from .bootstrap import (
     BootstrapSummary,
     ResizedCoefficients,
+    refit_replicates,
     resize,
     run_bootstrap,
-    summarize_bootstrap,
 )
 from .designs import DesignSpec, gen_coefficients, gen_covariates, gen_response
 from .exceptions import ResizedBootError, TooManyFailuresError
-from .fitting import Dataset, FitResult, FitStatus, fit_mle, newton_fit
+from .fitting import Dataset, FitResult, FitStatus, fit_mle
 from .intervals import (
     IntervalSet,
     boot_g_ci,
@@ -98,9 +98,12 @@ def baseline_bootstraps(
     one the dimensionality ratio), which is what the resized method fixes.
 
     ``mode``: 'parametric' simulates responses at beta_hat itself; 'pairs'
-    resamples rows with replacement. Summaries are reduced exactly like the
-    resized bootstrap, regressing against beta_hat. More than half of the B
-    refits failing aborts.
+    resamples rows with replacement, and refits each resample as a fit of
+    the whole dataset with every row weighted by the number of times it was
+    drawn. Both refit their replicates from beta_hat with
+    ``refit_replicates``, as the resized bootstrap does, and reduce them by
+    regressing against beta_hat. More than half of the B refits failing
+    aborts.
     """
     if mode == "parametric":
         at_mle = ResizedCoefficients(
@@ -115,17 +118,17 @@ def baseline_bootstraps(
         )
     if mode != "pairs":
         raise ValueError(f"unknown baseline mode {mode!r}")
-    kept = []
-    for b in range(B):
-        idx = pairs_indices(seed, b, data.n)
-        res = newton_fit(data.X[idx], data.y[idx], data.family, beta0=fit.beta_hat)
-        if res.status is FitStatus.CONVERGED:
-            kept.append(res.beta_hat)
-    n_failed = B - len(kept)
-    if n_failed > _BASELINE_FAIL_FRACTION * B:
-        raise TooManyFailuresError(n_failed, B, context="pairs bootstrap")
-    return summarize_bootstrap(
-        np.asarray(kept), fit.beta_hat, n_failed, has_intercept=data.has_intercept
+
+    def draw(bs):
+        counts = np.array(
+            [np.bincount(pairs_indices(seed, b, data.n), minlength=data.n) for b in bs],
+            dtype=np.float64,
+        )
+        return np.broadcast_to(data.y, counts.shape), counts
+
+    return refit_replicates(
+        data, fit.beta_hat, B, draw,
+        fail_fraction=_BASELINE_FAIL_FRACTION, context="pairs bootstrap",
     )
 
 

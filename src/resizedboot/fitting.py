@@ -12,12 +12,13 @@ backstops for quasi-separation.
 
 There is one Newton engine: ``refit_many`` fits many response vectors
 against one shared ``X`` in lockstep blocks, and reports each replicate's
-status, Newton iteration count and final gradient norm. The bootstrap and
-the signal-strength curve refit through it, and ``newton_fit`` (so
-``fit_mle`` and the pairs bootstrap) is its one-response case. One response
-never builds the column-pair table that stacks a block's Hessians, and it
-tries its step halvings one at a time where a block tries all of a row's
-halvings in one product.
+status, Newton iteration count and final gradient norm. The parametric,
+resized and pairs bootstraps and the signal-strength curve refit through
+it; a pairs replicate is a fit of ``X`` with each row weighted by the
+number of times it was drawn. ``newton_fit`` (so ``fit_mle``) is its
+one-response case. One response never builds the column-pair table that
+stacks a block's Hessians, and it tries its step halvings one at a time
+where a block tries all of a row's halvings in one product.
 """
 
 from __future__ import annotations
@@ -250,26 +251,43 @@ def refit_many(
     beta0: np.ndarray,
     opts: FitOptions = FitOptions(),
     *,
+    weights: np.ndarray | None = None,
     on_converged=None,
 ) -> Refits:
     """Fit every row of ``Y`` against the shared ``X`` by damped Newton.
 
-    ``beta0`` is one start for all or one row each. Replicates run in
-    lockstep blocks of about ``_BLOCK_BYTES`` of working arrays and leave
-    their block as they finish. Each one ends as SEPARABLE (binary families:
-    all margins positive, a coefficient norm above ``separable_beta_norm``
-    or an objective below ``n * separable_objective``), CONVERGED (gradient
+    ``beta0`` is one start for all or one row each. ``weights``, an (m, n)
+    array of non-negative weights with one row per replicate, scales each
+    observation's term in that replicate's objective, gradient and Hessian:
+    integer weights c_i fit each row of ``X`` c_i times over, as a
+    pairs-bootstrap resample does. A row of weight 0 adds exactly 0, even
+    where its term would overflow. By default every weight is 1.
+
+    Replicates run in lockstep blocks of about ``_BLOCK_BYTES`` of working
+    arrays and leave their block as they finish. Each one ends as SEPARABLE
+    (binary families: every margin of a row of positive weight is positive,
+    a coefficient norm above ``separable_beta_norm``, or an objective below
+    ``separable_objective`` times the total weight), CONVERGED (gradient
     norm at most ``tol``, and a Hessian that factors without a ridge), or
     SINGULAR_HESSIAN (no factor even after the ridge retry), or else
     MAX_ITER: after ``max_iter`` iterations, or when no step halving
     decreases the objective and no polish step is left.
     ``on_converged(b, t, chol)`` is called for each converged replicate b
-    with its linear predictor and the lower Cholesky factor of its Hessian.
+    with its linear predictor (held at 0 on rows of weight 0) and the lower
+    Cholesky factor of its Hessian.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n, p = X.shape
     m = Y.shape[0]
+    if weights is None:
+        # times 1.0 is exact, so unit weights keep the unweighted bits; a full
+        # array multiplies about twice as fast as a broadcast (m, 1) column
+        weights = np.ones((m, n))
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (m, n) or not (weights >= 0.0).all():
+            raise ValueError(f"weights must be a non-negative ({m}, {n}) array")
     fits = Refits(
         betas=np.array(np.broadcast_to(np.asarray(beta0, dtype=np.float64), (m, p))),
         statuses=[FitStatus.MAX_ITER] * m,
@@ -280,8 +298,7 @@ def refit_many(
     # product. A single response builds no pair table, which would cost more
     # than its few Hessians save, and tries its halvings one at a time,
     # longest first, as the reference loop in tests/oracles.py does; its
-    # results then match that loop's to the bit. About one fit in three
-    # searches at all, so the order costs little either way.
+    # results then match that loop's to the bit.
     halvings = 0.5 ** np.arange(1, opts.max_halvings + 1)
     if m == 1:
         pairs, halvings = None, halvings[:, None]
@@ -291,29 +308,38 @@ def refit_many(
     rows = _lockstep_rows(n, p)
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
-        _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged)
+        _refit_block(
+            X, Y, weights, family, opts, pairs, halvings, fits, idx, on_converged
+        )
     return fits
 
 
-def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
+def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged):
     """Lockstep Newton over replicates ``idx``; writes their results back.
-    Each row of ``halvings`` holds step lengths below 1 that are tried in
-    one product, longest first."""
+    ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
+    lengths below 1 that are tried in one product, longest first."""
     n, p = X.shape
     beta = fits.betas[idx]
     y = Y[idx]
+    c = C[idx]
+    # A row of weight 0 adds c * f = 0 to every sum as long as f is finite,
+    # so its predictor is held at 0, where no family term overflows; its
+    # margin is lifted to +inf, out of the separability certificate's way.
+    dead = c == 0.0
+    lift = np.where(dead, np.inf, 0.0)
     T = beta @ X.T
-    obj = family.nll(y, T).sum(axis=1)
+    np.copyto(T, 0.0, where=dead)
+    obj = (c * family.nll(y, T)).sum(axis=1)
     polish_left = np.full(idx.size, 3)
     for it in range(opts.max_iter + 1):
-        G = family.d1(y, T) @ X
+        G = (c * family.d1(y, T)) @ X
         grad_norm = np.linalg.norm(G, axis=1)
         sep = np.zeros(idx.size, dtype=bool)
         if family.is_binary:
             sep = (
-                (np.min(y * T, axis=1) > 0.0)
+                (np.min(y * T + lift, axis=1) > 0.0)
                 | (np.linalg.norm(beta, axis=1) > opts.separable_beta_norm)
-                | (obj < n * opts.separable_objective)
+                | (obj < c.sum(axis=1) * opts.separable_objective)
             )
         conv = ~sep & (grad_norm <= opts.tol)
         stepping = ~sep & ~conv & (it < opts.max_iter)
@@ -326,7 +352,7 @@ def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
         # check of each converged one
         direction = np.zeros((idx.size, p))
         need = np.flatnonzero(conv | stepping)
-        hessians = _hessians(X, pairs, family.d2(y[need], T[need]))
+        hessians = _hessians(X, pairs, c[need] * family.d2(y[need], T[need]))
         for r, H in zip(need.tolist(), hessians):
             L = _cholesky(H, None if conv[r] else opts.ridge)
             if L is None:
@@ -349,14 +375,16 @@ def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
         with np.errstate(over="ignore"):
             cand = beta[trial] + direction[trial]
             T_cand = cand @ X.T
-            obj_cand = family.nll(y[trial], T_cand).sum(axis=1)
+            np.copyto(T_cand, 0.0, where=dead[trial])
+            obj_cand = (c[trial] * family.nll(y[trial], T_cand)).sum(axis=1)
             ok = obj_cand < obj[trial]
             beta[trial[ok]], T[trial[ok]], obj[trial[ok]] = cand[ok], T_cand[ok], obj_cand[ok]
             for r in trial[~ok].tolist():
                 for steps in halvings:
                     cand = beta[r] + steps[:, None] * direction[r]
                     T_cand = cand @ X.T
-                    obj_cand = family.nll(y[r], T_cand).sum(axis=1)
+                    np.copyto(T_cand, 0.0, where=dead[r])
+                    obj_cand = (c[r] * family.nll(y[r], T_cand)).sum(axis=1)
                     hit = np.flatnonzero(obj_cand < obj[r])
                     if hit.size:
                         h = hit[0]
@@ -375,7 +403,8 @@ def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
                         polish_left[r] -= 1
                         beta[r] = beta[r] + direction[r]
                         T[r] = X @ beta[r]
-                        obj[r] = family.nll(y[r], T[r]).sum()
+                        np.copyto(T[r], 0.0, where=dead[r])
+                        obj[r] = (c[r] * family.nll(y[r], T[r])).sum()
                     else:
                         done[r] = FitStatus.MAX_ITER
 
@@ -391,4 +420,5 @@ def _refit_block(X, Y, family, opts, pairs, halvings, fits, idx, on_converged):
             if not keep.any():
                 return
             beta, y, T, obj = beta[keep], y[keep], T[keep], obj[keep]
+            c, dead, lift = c[keep], dead[keep], lift[keep]
             idx, polish_left = idx[keep], polish_left[keep]

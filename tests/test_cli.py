@@ -292,6 +292,15 @@ def test_infer_boot_t_with_too_small_b_fails_before_fitting(
     }
 
 
+@pytest.mark.parametrize("B", [0, 1])
+def test_infer_pairs_with_too_few_replicates_fails(B, tmp_path, capsys):
+    rc = main(["infer", "--data", str(FIXTURE), "--family", "logistic",
+               "--method", "pairs", "--B", str(B), "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValueError", "message": "B must be at least 2"}
+
+
 def test_data_requires_family(tmp_path, capsys):
     rc = main(["infer", "--data", str(FIXTURE), "--out", str(tmp_path)])
     assert rc == 1

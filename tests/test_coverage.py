@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import resizedboot.coverage as cov
+import resizedboot.fitting as fitting
 from resizedboot import (
     CurveNotBracketingError,
     DesignSpec,
+    FitStatus,
     GaussianCovariates,
     InsufficientBootstrapError,
     IntervalSet,
@@ -16,7 +18,9 @@ from resizedboot import (
     TooManyFailuresError,
     baseline_bootstraps,
     fit_mle,
+    generate_dataset,
     infer,
+    newton_fit,
     run_bias_sd_study,
     run_coverage,
     run_bootstrap,
@@ -146,17 +150,26 @@ def test_bias_sd_study_self_consistent():
     assert "bias" in study.format_bias_sd_table()
 
 
+_HOPELESS = DesignSpec(
+    n=60, p=25, covariates=GaussianCovariates(),
+    coefficients=MixtureCoefficients(k=12, mu=20.0, sd=1.0),
+    family="logistic", seed=0,
+)
+
+
 def test_coverage_aborts_at_phase_transition():
-    hopeless = DesignSpec(
-        n=60, p=25, covariates=GaussianCovariates(),
-        coefficients=MixtureCoefficients(k=12, mu=20.0, sd=1.0),
-        family="logistic", seed=0,
-    )
     with pytest.raises(TooManyFailuresError):
         run_coverage(
-            hopeless, methods=("classical",), levels=(0.95,),
+            _HOPELESS, methods=("classical",), levels=(0.95,),
             n_reps=4, B=10, seed=0, gamma_mode="known",
         )
+
+
+def test_pairs_baseline_aborts_at_phase_transition():
+    data = generate_dataset(_HOPELESS)[0]
+    with pytest.raises(TooManyFailuresError, match="pairs bootstrap") as err:
+        baseline_bootstraps(data, fit_mle(data), B=10, mode="pairs", seed=0)
+    assert (err.value.n_failed, err.value.n_total) == (10, 10)
 
 
 def test_parametric_baseline_is_run_bootstrap_at_scale_one():
@@ -181,6 +194,27 @@ def test_pairs_baseline_runs_and_differs_from_parametric():
     assert not np.array_equal(pairs.boot_mles, par.boot_mles)
     with pytest.raises(ValueError):
         baseline_bootstraps(data, fit, B=10, mode="wild", seed=0)
+
+
+def test_pairs_baseline_refits_the_resampled_rows(monkeypatch):
+    # replicate b is the fit of the rows pairs_indices draws, started at
+    # beta_hat, and no replicate is fitted on its own
+    data = simulate_logistic(150, 4, seed=6)[0]
+    fit = fit_mle(data)
+    alone = [
+        newton_fit(data.X[idx], data.y[idx], data.family, beta0=fit.beta_hat)
+        for idx in (pairs_indices(9, b, data.n) for b in range(30))
+    ]
+
+    def no_single_fit(*args, **kwargs):
+        raise AssertionError("a pairs replicate was fitted on its own")
+
+    monkeypatch.setattr(fitting, "newton_fit", no_single_fit)
+    monkeypatch.setattr(cov, "newton_fit", no_single_fit, raising=False)
+    pairs = baseline_bootstraps(data, fit, B=30, mode="pairs", seed=9)
+    kept = [r.beta_hat for r in alone if r.status is FitStatus.CONVERGED]
+    assert pairs.n_failed == 30 - len(kept)
+    np.testing.assert_allclose(pairs.boot_mles, kept, rtol=0, atol=1e-6)
 
 
 def test_pairs_resample_unique_rows_rate():

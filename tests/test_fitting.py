@@ -305,3 +305,83 @@ def test_one_response_builds_no_pair_table(monkeypatch):
     fit = fit_mle(data)
     assert fit.status is FitStatus.CONVERGED
     assert fit.n_iter > 0
+
+
+# ------------------------------- weighted replicates vs refits of the resamples
+
+def _resample_cases(family_name):
+    """(X, y, idx, beta0, opts): pairs resamples ``X[idx[b]], y[idx[b]]``.
+    Row 0 of X is an outlier that no resample draws: the predictor there
+    grows far past where exp() overflows, which every trial step of a
+    Poisson fit evaluates. Binary cases put it on the wrong side of the
+    truth and add resamples drawn only from the rows the truth classifies
+    correctly, which are separable although the whole dataset is not."""
+    family = get_family(family_name)
+    rng = np.random.default_rng(17)
+    n, p = 60, 4
+    X = rng.standard_normal((n, p)) / np.sqrt(p)
+    beta = np.array([1.5, -1.0, 0.5, 0.0])
+    if family.is_binary:
+        beta = 2.0 * beta
+    y = np.concatenate([
+        [-1.0 if family.is_binary else 0.0], family.simulate(X @ beta, rng)
+    ])
+    X = np.vstack([[600.0, 0.0, 0.0, 0.0], X])
+    idx = rng.integers(1, n + 1, (16, n + 1))
+    if family.is_binary:
+        right = 1 + np.flatnonzero(y[1:] * (X[1:] @ beta) > 0)
+        idx[::4] = rng.choice(right, (4, n + 1))
+    beta0 = np.zeros(p)
+    return [(X, y, idx, beta0, FitOptions()), (X, y, idx, beta0, FitOptions(max_iter=2))]
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-replicate"])
+@pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
+def test_weighted_refit_many_matches_resampled_fits(family_name, stacked, monkeypatch):
+    # a replicate weighted by its row counts against the reference loop on
+    # the resampled rows themselves
+    if not stacked:
+        monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family(family_name)
+    seen = set()
+    far = 0.0
+    for X, y, idx, beta0, opts in _resample_cases(family_name):
+        counts = np.array([np.bincount(i, minlength=X.shape[0]) for i in idx])
+        assert not counts[:, 0].any()
+        fits = refit_many(
+            X, np.broadcast_to(y, counts.shape), family, beta0, opts, weights=counts
+        )
+        for b, rows in enumerate(idx):
+            ref = reference_newton_fit(X[rows], y[rows], family, opts, beta0=beta0)
+            assert fits.statuses[b] is ref.status, (b, fits.statuses[b], ref.status)
+            if ref.status is FitStatus.CONVERGED:
+                np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
+                far = max(far, X[0] @ ref.beta_hat)
+            seen.add(ref.status)
+    assert far > 710.0  # exp() overflows at the outlier
+    assert FitStatus.CONVERGED in seen and FitStatus.MAX_ITER in seen
+    if family.is_binary:
+        assert FitStatus.SEPARABLE in seen
+        X, y, idx, _, _ = _resample_cases(family_name)[0]
+        assert find_separating_direction(X, y) is None
+        assert find_separating_direction(X[idx[0]], y[idx[0]]) is not None
+
+
+@pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
+def test_unit_weights_change_no_bit(family_name):
+    # the resized bootstrap and the curve refit with the default weights
+    family = get_family(family_name)
+    for X, Y, beta0, opts in _engine_cases(family_name):
+        plain = refit_many(X, Y, family, beta0, opts)
+        unit = refit_many(X, Y, family, beta0, opts, weights=np.ones(Y.shape))
+        assert np.array_equal(unit.betas, plain.betas)
+        assert unit.statuses == plain.statuses
+        assert np.array_equal(unit.n_iter, plain.n_iter)
+
+
+def test_refit_many_rejects_bad_weights():
+    data, beta = simulate_logistic(50, 3, seed=8)
+    Y = np.stack([data.y, data.y])
+    for weights in (np.ones((2, 49)), -np.ones((2, 50))):
+        with pytest.raises(ValueError, match="weights"):
+            refit_many(data.X, Y, data.family, beta, weights=weights)

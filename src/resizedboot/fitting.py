@@ -19,6 +19,15 @@ number of times it was drawn. ``newton_fit`` (so ``fit_mle``) is its
 one-response case. One response never builds the column-pair table that
 stacks a block's Hessians, and it tries its step halvings one at a time
 where a block tries all of a row's halvings in one product.
+
+``newton_fit`` takes exact Newton steps and checks the Hessian at
+convergence. The bootstraps and the curve refit with ``lazy=True``: at
+large p a replicate re-forms its Hessian only every third iteration and
+steps on the factor it holds in between (Shamanskii's modified Newton
+method), and no Hessian is factored at convergence unless the caller
+reads the factor. Adjacent replicates whose curvature rows are equal share one Hessian,
+as logistic and Poisson replicates do at their common start, and a
+weighted replicate's Hessian sums only its rows of positive weight.
 """
 
 from __future__ import annotations
@@ -117,13 +126,18 @@ class FitResult:
         return self.status is FitStatus.CONVERGED
 
 
-def _hessian(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X' diag(w) X as the symmetric rank-n product Xw' Xw, Xw = X sqrt(w).
+def _hessian(X: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
+    """X' diag(w) X as the symmetric rank-n product Xw' Xw, Xw = X sqrt(w),
+    over the rows of X that ``rows`` selects (all by default).
 
     The curvature is positive; far in the probit tails rounding can push a
     weight below zero, and such a weight counts as zero.
     """
-    Xw = X * np.sqrt(np.maximum(w, 0.0))[:, None]
+    if rows is None:
+        Xw = X * np.sqrt(np.maximum(w, 0.0))[:, None]
+    else:
+        Xw = X[rows]
+        Xw *= np.sqrt(np.maximum(w[rows], 0.0))[:, None]
     return Xw.T @ Xw
 
 
@@ -226,13 +240,16 @@ def _column_pairs(X: np.ndarray):
     return XX, where.ravel()
 
 
-def _hessians(X: np.ndarray, pairs, W: np.ndarray):
-    """The Hessian X' diag(w) X of each row w of W, in order."""
-    if pairs is None:
-        return (_hessian(X, w) for w in W)
+def _stacked_hessians(X: np.ndarray, pairs, W: np.ndarray) -> np.ndarray:
+    """The Hessian X' diag(w) X of each row w of W, from the pair table."""
     XX, where = pairs
     p = X.shape[1]
     return (np.maximum(W, 0.0) @ XX.T)[:, where].reshape(-1, p, p)
+
+
+# A lazy replicate that forms its own Hessians re-forms one at iterations
+# _REFRESH, 2 _REFRESH, ... and steps on the factor it holds in between.
+_REFRESH = 3
 
 
 class Refits(NamedTuple):
@@ -253,6 +270,7 @@ def refit_many(
     *,
     weights: np.ndarray | None = None,
     on_converged=None,
+    lazy: bool = False,
 ) -> Refits:
     """Fit every row of ``Y`` against the shared ``X`` by damped Newton.
 
@@ -261,7 +279,8 @@ def refit_many(
     observation's term in that replicate's objective, gradient and Hessian:
     integer weights c_i fit each row of ``X`` c_i times over, as a
     pairs-bootstrap resample does. A row of weight 0 adds exactly 0, even
-    where its term would overflow. By default every weight is 1.
+    where its term would overflow, and stays out of the Hessian products.
+    By default every weight is 1.
 
     Replicates run in lockstep blocks of about ``_BLOCK_BYTES`` of working
     arrays and leave their block as they finish. Each one ends as SEPARABLE
@@ -274,7 +293,28 @@ def refit_many(
     decreases the objective and no polish step is left.
     ``on_converged(b, t, chol)`` is called for each converged replicate b
     with its linear predictor (held at 0 on rows of weight 0) and the lower
-    Cholesky factor of its Hessian.
+    Cholesky factor of its Hessian there, formed afresh.
+
+    By default every step is an exact Newton step. ``lazy=True`` is the
+    mode of bootstrap and curve replicates, whose coefficients are read
+    but whose Hessians mostly are not:
+
+    - Where each replicate forms its own Hessians (``_stacks_hessians``
+      false, as at n=1000, p=100), a replicate forms a fresh Hessian only
+      at iterations 0, 3, 6, ... and steps on the Cholesky factor it holds
+      in between: the Shamanskii modified Newton method. When no step
+      length along a held factor's direction decreases the objective, the
+      replicate takes its next pass with a fresh Hessian at the same
+      iterate; a stall or a polish step happens only on a fresh factor.
+      Where a block stacks its Hessians, every step stays exact.
+    - Without ``on_converged`` no Hessian is factored at convergence, and
+      CONVERGED means only that the gradient norm is at most ``tol``.
+
+    Where each replicate forms its own Hessians, a replicate whose
+    curvature row equals that of the replicate before it in its block
+    shares that one's Hessian and factor, in either mode. Logistic and
+    Poisson curvature does not depend on the response, so replicates that
+    start together share their first one.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -305,19 +345,30 @@ def refit_many(
     else:
         pairs = _column_pairs(X) if _stacks_hessians(n, p) else None
         halvings = halvings[None]
+    # Where a block stacks its Hessians, lazy refresh costs more in Newton
+    # passes than it saves in Hessians: a pareto-small infer took 1.46 s
+    # with it and 1.27 s without.
+    refresh = _REFRESH if lazy and not _stacks_hessians(n, p) else 1
+    check = on_converged is not None or not lazy
     rows = _lockstep_rows(n, p)
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
         _refit_block(
-            X, Y, weights, family, opts, pairs, halvings, fits, idx, on_converged
+            X, Y, weights, family, opts, pairs, halvings, fits, idx, on_converged,
+            refresh, check,
         )
     return fits
 
 
-def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged):
+def _refit_block(
+    X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged, refresh, check
+):
     """Lockstep Newton over replicates ``idx``; writes their results back.
     ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
-    lengths below 1 that are tried in one product, longest first."""
+    lengths below 1 that are tried in one product, longest first. A
+    stepping replicate forms a fresh factor at iterations divisible by
+    ``refresh``, and after a step on its held factor failed; a converged
+    one forms one if ``check``."""
     n, p = X.shape
     beta = fits.betas[idx]
     y = Y[idx]
@@ -331,6 +382,8 @@ def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged
     np.copyto(T, 0.0, where=dead)
     obj = (c * family.nll(y, T)).sum(axis=1)
     polish_left = np.full(idx.size, 3)
+    held = [None] * idx.size  # each lazy replicate's latest Cholesky factor
+    retry = np.zeros(idx.size, dtype=bool)  # a step on the held factor failed
     for it in range(opts.max_iter + 1):
         G = (c * family.d1(y, T)) @ X
         grad_norm = np.linalg.norm(G, axis=1)
@@ -348,13 +401,29 @@ def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged
             np.flatnonzero(~(sep | conv | stepping)).tolist(), FitStatus.MAX_ITER
         ))
 
-        # the Newton system of each stepping row, the post-convergence
-        # check of each converged one
+        # Fresh factors: the Newton system of each stepping row due one, the
+        # post-convergence check of each converged one if checked. A stacked
+        # product keeps the unchecked converged rows too, so that its other
+        # rows round as they do in an exact fit.
+        fresh = stepping & (retry | (it % refresh == 0)) | conv & check
+        need = np.flatnonzero(fresh | conv & (pairs is not None))
+        W = c[need] * family.d2(y[need], T[need])
+        if pairs is not None:
+            stacked = _stacked_hessians(X, pairs, W)
+        last = None
         direction = np.zeros((idx.size, p))
-        need = np.flatnonzero(conv | stepping)
-        hessians = _hessians(X, pairs, c[need] * family.d2(y[need], T[need]))
-        for r, H in zip(need.tolist(), hessians):
-            L = _cholesky(H, None if conv[r] else opts.ridge)
+        for k, r in enumerate(need.tolist()):
+            if not fresh[r]:
+                continue
+            ridge = None if conv[r] else opts.ridge
+            if pairs is not None:
+                L = _cholesky(stacked[k], ridge)
+            elif (key := (ridge, W[k].tobytes())) != last:
+                # a row equal to the one before shares its factor, as the
+                # replicates of a chunk or a knot do at their common start
+                last = key
+                rows = np.flatnonzero(~dead[r]) if dead[r].any() else None
+                L = _cholesky(_hessian(X, W[k], rows), ridge)
             if L is None:
                 done[r] = FitStatus.SINGULAR_HESSIAN
             elif conv[r]:
@@ -363,15 +432,22 @@ def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged
                     on_converged(int(idx[r]), T[r], L)
             else:
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
+                if refresh > 1:
+                    held[r] = L
+        retry[fresh] = False
+        if not check:
+            done.update(dict.fromkeys(np.flatnonzero(conv).tolist(), FitStatus.CONVERGED))
+        trial = np.array(
+            [r for r in np.flatnonzero(stepping).tolist() if r not in done], dtype=int
+        )
+        for r in trial[~fresh[trial]].tolist():
+            direction[r] = linalg.lapack.dpotrs(held[r], -G[r], lower=1)[0]
 
         # Line search: every row tries the full step, and a row that fails
         # it tries its halvings and takes the longest that decreases the
         # objective; the accepted predictor and objective carry over to the
         # next pass. An overflowing trial step fails the decrease test, so
         # the overflow warning carries no signal.
-        trial = np.array(
-            [r for r in np.flatnonzero(stepping).tolist() if r not in done], dtype=int
-        )
         with np.errstate(over="ignore"):
             cand = beta[trial] + direction[trial]
             T_cand = cand @ X.T
@@ -391,11 +467,15 @@ def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged
                         beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
                         break
                 else:
-                    # No decrease at any step length: the objective is at its
-                    # float floor. Inside the quadratic basin a full Newton
-                    # step still contracts the gradient, so take it (at most
-                    # three times) and let the gradient test decide; else a
-                    # stall.
+                    # No decrease at any step length. On a held factor, try
+                    # again from here with a fresh one.
+                    if not fresh[r]:
+                        retry[r] = True
+                        continue
+                    # On a fresh one the objective is at its float floor.
+                    # Inside the quadratic basin a full Newton step still
+                    # contracts the gradient, so take it (at most three
+                    # times) and let the gradient test decide; else a stall.
                     small_step = float(np.linalg.norm(direction[r])) <= 1e-2 * (
                         1.0 + float(np.linalg.norm(beta[r]))
                     )
@@ -421,4 +501,5 @@ def _refit_block(X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged
                 return
             beta, y, T, obj = beta[keep], y[keep], T[keep], obj[keep]
             c, dead, lift = c[keep], dead[keep], lift[keep]
-            idx, polish_left = idx[keep], polish_left[keep]
+            idx, polish_left, retry = idx[keep], polish_left[keep], retry[keep]
+            held = [L for L, k in zip(held, keep.tolist()) if k]

@@ -120,6 +120,29 @@ def test_parse_peak_memory_stays_near_the_array(tmp_path):
     assert peak < 4 * n * (p + 1) * 8
 
 
+def test_parse_reads_repr_floats_to_the_bit(tmp_path):
+    # NumPy's parser reads what float() reads; it refuses 1_0, and that
+    # file takes the per-cell loop
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((60, 3)) * 10.0 ** rng.integers(-300, 300, (60, 3))
+    X[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    y = rng.integers(0, 2, 60).astype(float)
+    rows = [",".join(map(repr, [yi, *row])) for yi, row in zip(y.tolist(), X.tolist())]
+    rows[1] = rows[1].replace(",", " ,  ", 1)  # a padded cell
+    f = tmp_path / "fast.csv"
+    f.write_text("y,x0,x1,x2\n" + "\n".join(rows) + "\n")
+    g = tmp_path / "cells.csv"
+    g.write_text("y,x0,x1,x2\n" + "\n".join(rows) + "\n1.0,1_0,2.5,-1e-3\n")
+    assert cli._parse_fast(g) is None
+    for path, want in ((f, X), (g, np.vstack([X, [10.0, 2.5, -1e-3]]))):
+        data = parse_dataset_csv(path, "logistic")
+        assert np.array_equal(data.X.view(np.int64), want.view(np.int64))
+    fast, lines = cli._parse_fast(f)
+    cells, cell_lines = cli._parse_cells(f)
+    assert np.array_equal(fast.view(np.int64), cells.view(np.int64))
+    assert lines == cell_lines == list(range(2, 62))
+
+
 def test_export_then_parse_round_trips_fit_bitwise(tmp_path):
     data = parse_dataset_csv(FIXTURE, "logistic")
     out = tmp_path / "copy.csv"

@@ -385,3 +385,111 @@ def test_refit_many_rejects_bad_weights():
     for weights in (np.ones((2, 49)), -np.ones((2, 50))):
         with pytest.raises(ValueError, match="weights"):
             refit_many(data.X, Y, data.family, beta, weights=weights)
+
+
+# ------------------------------------------ lazy Hessian refresh vs the reference
+
+def _replicate_cases(family_name):
+    """The engine and resample cases as (X, Y, beta0, opts, weights, own),
+    ``own(b)`` giving replicate b's (X, y, beta0) for the reference loop."""
+    for X, Y, beta0, opts in _engine_cases(family_name):
+        yield X, Y, beta0, opts, None, lambda b, X=X, Y=Y, beta0=beta0: (X, Y[b], beta0[b])
+    for X, y, idx, beta0, opts in _resample_cases(family_name):
+        counts = np.array([np.bincount(i, minlength=X.shape[0]) for i in idx])
+        yield (
+            X, np.broadcast_to(y, counts.shape), beta0, opts, counts,
+            lambda b, X=X, y=y, idx=idx, beta0=beta0: (X[idx[b]], y[idx[b]], beta0),
+        )
+
+
+@pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
+def test_lazy_refit_many_matches_newton_fit(family_name, monkeypatch):
+    # replicates that hold their Hessian factor for up to three Newton
+    # steps end where the exact Newton reference does
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family(family_name)
+    restarted = 0
+    for X, Y, beta0, opts, weights, own in _replicate_cases(family_name):
+        assert not fitting._stacks_hessians(*X.shape)
+        factors = {}
+        fits = refit_many(
+            X, Y, family, beta0, opts, weights=weights, lazy=True,
+            on_converged=lambda b, t, chol: factors.setdefault(b, chol),
+        )
+        for b in range(Y.shape[0]):
+            status = fits.statuses[b]
+            if opts.max_iter == 2:
+                assert fits.n_iter[b] <= 2
+                continue
+            Xb, yb, beta0_b = own(b)
+            ref = reference_newton_fit(Xb, yb, family, opts, beta0=beta0_b)
+            if ref.status is FitStatus.MAX_ITER and ref.n_iter <= 1 and status is FitStatus.CONVERGED:
+                # a far start where exact Newton stalls at once; the held
+                # factor's steps get through to the fit from zero
+                ref = reference_newton_fit(Xb, yb, family, opts)
+                restarted += 1
+            assert status is ref.status, (b, status, ref.status)
+            if status is FitStatus.CONVERGED:
+                np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
+                np.testing.assert_allclose(factors[b], ref.chol, rtol=1e-6, atol=1e-9)
+    assert restarted <= 2
+
+
+def _count_hessians(monkeypatch):
+    calls = []
+    real = fitting._hessian
+
+    def counted(X, w, rows=None):
+        calls.append(X.shape[0] if rows is None else len(rows))
+        return real(X, w, rows)
+
+    monkeypatch.setattr(fitting, "_hessian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family_name, formed", [("logistic", 1), ("probit", 9)])
+def test_lazy_block_shares_its_start_hessian(family_name, formed, monkeypatch):
+    # logistic curvature does not depend on y, so nine replicates that start
+    # together form one Hessian in their first pass; probit's does
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family(family_name)
+    data, beta = simulate_logistic(200, 5, seed=4)
+    rng = np.random.default_rng(6)
+    Y = np.array([family.simulate(data.X @ beta, rng) for _ in range(9)])
+    calls = _count_hessians(monkeypatch)
+    fits = refit_many(data.X, Y, family, beta, FitOptions(max_iter=1), lazy=True)
+    assert set(fits.statuses) == {FitStatus.MAX_ITER}
+    assert len(calls) == formed
+
+
+def test_weighted_hessians_skip_undrawn_rows(monkeypatch):
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    data, beta = simulate_logistic(200, 5, seed=4)
+    counts = np.random.default_rng(3).multinomial(200, np.full(200, 1 / 200), size=4)
+    calls = _count_hessians(monkeypatch)
+    refit_many(
+        data.X, np.broadcast_to(data.y, counts.shape), data.family, beta,
+        FitOptions(max_iter=1), weights=counts,
+    )
+    assert calls == [int((c > 0).sum()) for c in counts]
+    assert max(calls) < 200
+
+
+def test_lazy_refit_many_does_not_depend_on_blocking(monkeypatch):
+    # a replicate's held factor and its shared start Hessian follow it
+    # through blocks of any size. Not to the bit: a block's products turn
+    # into matrix-vector products, which round differently, once one row is
+    # left in it, and a held factor carries such a difference further than
+    # an exact Newton step does (up to 1.7e-9 here)
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
+    rng = np.random.default_rng(6)
+    Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(23)])
+    whole = refit_many(data.X, Y, data.family, beta, lazy=True)
+    assert all(s is FitStatus.CONVERGED for s in whole.statuses)
+    assert whole.n_iter.max() > 3  # some replicates refresh their factor
+    for rows in (1, 5, 7):
+        monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
+        part = refit_many(data.X, Y, data.family, beta, lazy=True)
+        assert part.statuses == whole.statuses
+        np.testing.assert_allclose(part.betas, whole.betas, rtol=0, atol=1e-8)

@@ -164,10 +164,10 @@ def refit_replicates(
     ``draw(bs)`` gives the responses and the weights (None for unit
     weights) of the replicates in the range ``bs``, as ``refit_many`` takes
     them. The replicates are drawn and refitted in chunks of about
-    ``_RESPONSE_BYTES`` of responses, in ``refit_many``'s lazy mode: no
-    Hessian is factored at convergence, so a converged replicate is one
-    whose gradient norm reached the tolerance. Failed replicates (separable or
-    non-converged) are discarded and counted, never retried. More than
+    ``_RESPONSE_BYTES`` of responses. No Hessian is factored at
+    convergence, so a converged replicate is one whose gradient norm
+    reached the tolerance. Failed replicates (separable or non-converged)
+    are discarded and counted, never retried. More than
     ``fail_fraction`` failures raises ``TooManyFailuresError`` naming
     ``context``: that many non-existent bootstrap MLEs signal a design at or
     over the phase boundary.
@@ -178,7 +178,7 @@ def refit_replicates(
     kept = []
     for lo in range(0, B, chunk):
         Y, weights = draw(range(lo, min(lo + chunk, B)))
-        fits = refit_many(data.X, Y, data.family, beta0, weights=weights, lazy=True)
+        fits = refit_many(data.X, Y, data.family, beta0, weights=weights)
         kept.extend(
             beta for beta, status in zip(fits.betas, fits.statuses)
             if status is FitStatus.CONVERGED

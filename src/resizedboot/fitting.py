@@ -20,14 +20,15 @@ one-response case. One response never builds the column-pair table that
 stacks a block's Hessians, and it tries its step halvings one at a time
 where a block tries all of a row's halvings in one product.
 
-``newton_fit`` takes exact Newton steps and checks the Hessian at
-convergence. The bootstraps and the curve refit with ``lazy=True``: at
-large p a replicate re-forms its Hessian only every third iteration and
-steps on the factor it holds in between (Shamanskii's modified Newton
-method), and no Hessian is factored at convergence unless the caller
-reads the factor. Adjacent replicates whose curvature rows are equal share one Hessian,
-as logistic and Poisson replicates do at their common start, and a
-weighted replicate's Hessian sums only its rows of positive weight.
+How a fit steps is keyed to the size of ``X`` alone. Where a block can
+stack its Hessians (``_stacks_hessians``), every fit takes exact Newton
+steps. Elsewhere every fit, ``newton_fit`` included, re-forms its Hessian
+only every third iteration and steps on the factor it holds in between
+(Shamanskii's modified Newton method). A Hessian is factored at convergence
+only for a caller that reads the factor. Adjacent replicates whose
+curvature rows are equal share one Hessian, as logistic and Poisson
+replicates do at their common start, and a weighted replicate's Hessian
+sums only its rows of positive weight.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _stacked_hessians(X: np.ndarray, pairs, W: np.ndarray) -> np.ndarray:
     return (np.maximum(W, 0.0) @ XX.T)[:, where].reshape(-1, p, p)
 
 
-# A lazy replicate that forms its own Hessians re-forms one at iterations
+# Where Hessians are not stacked, a fit re-forms its Hessian at iterations
 # _REFRESH, 2 _REFRESH, ... and steps on the factor it holds in between.
 _REFRESH = 3
 
@@ -270,7 +271,6 @@ def refit_many(
     *,
     weights: np.ndarray | None = None,
     on_converged=None,
-    lazy: bool = False,
 ) -> Refits:
     """Fit every row of ``Y`` against the shared ``X`` by damped Newton.
 
@@ -287,34 +287,28 @@ def refit_many(
     (binary families: every margin of a row of positive weight is positive,
     a coefficient norm above ``separable_beta_norm``, or an objective below
     ``separable_objective`` times the total weight), CONVERGED (gradient
-    norm at most ``tol``, and a Hessian that factors without a ridge), or
-    SINGULAR_HESSIAN (no factor even after the ridge retry), or else
-    MAX_ITER: after ``max_iter`` iterations, or when no step halving
-    decreases the objective and no polish step is left.
-    ``on_converged(b, t, chol)`` is called for each converged replicate b
-    with its linear predictor (held at 0 on rows of weight 0) and the lower
-    Cholesky factor of its Hessian there, formed afresh.
+    norm at most ``tol``), SINGULAR_HESSIAN (no factor even after the ridge
+    retry), or else MAX_ITER: after ``max_iter`` iterations, or when no step
+    halving decreases the objective and no polish step is left. Only with
+    ``on_converged`` is a Hessian factored at convergence: without a ridge,
+    or the replicate ends SINGULAR_HESSIAN. ``on_converged(b, t, chol)`` is
+    called for each converged replicate b with its linear predictor (held
+    at 0 on rows of weight 0) and that lower Cholesky factor.
 
-    By default every step is an exact Newton step. ``lazy=True`` is the
-    mode of bootstrap and curve replicates, whose coefficients are read
-    but whose Hessians mostly are not:
-
-    - Where each replicate forms its own Hessians (``_stacks_hessians``
-      false, as at n=1000, p=100), a replicate forms a fresh Hessian only
-      at iterations 0, 3, 6, ... and steps on the Cholesky factor it holds
-      in between: the Shamanskii modified Newton method. When no step
-      length along a held factor's direction decreases the objective, the
-      replicate takes its next pass with a fresh Hessian at the same
-      iterate; a stall or a polish step happens only on a fresh factor.
-      Where a block stacks its Hessians, every step stays exact.
-    - Without ``on_converged`` no Hessian is factored at convergence, and
-      CONVERGED means only that the gradient norm is at most ``tol``.
+    Where ``_stacks_hessians(n, p)`` holds, as at n=400, p=40, every step
+    is an exact Newton step, for one response too. Elsewhere, as at
+    n=1000, p=100, a replicate forms a fresh Hessian only at iterations 0,
+    ``_REFRESH``, 2 ``_REFRESH``, ... and steps on the Cholesky factor it
+    holds in between: the Shamanskii modified Newton method. When no step
+    length along a held factor's direction decreases the objective, the
+    replicate takes its next pass with a fresh Hessian at the same iterate;
+    a stall or a polish step happens only on a fresh factor.
 
     Where each replicate forms its own Hessians, a replicate whose
-    curvature row equals that of the replicate before it in its block
-    shares that one's Hessian and factor, in either mode. Logistic and
-    Poisson curvature does not depend on the response, so replicates that
-    start together share their first one.
+    curvature row equals that of the replicate before it shares that one's
+    Hessian and factor; in the first pass this carries across blocks.
+    Logistic and Poisson curvature does not depend on the response, so
+    replicates that start together share their first one.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -337,38 +331,39 @@ def refit_many(
     # A row that fails the full Newton step tries its step halvings in one
     # product. A single response builds no pair table, which would cost more
     # than its few Hessians save, and tries its halvings one at a time,
-    # longest first, as the reference loop in tests/oracles.py does; its
-    # results then match that loop's to the bit.
+    # longest first, as the reference loop in tests/oracles.py does; where
+    # its steps are exact, its results then match that loop's to the bit.
     halvings = 0.5 ** np.arange(1, opts.max_halvings + 1)
     if m == 1:
         pairs, halvings = None, halvings[:, None]
     else:
         pairs = _column_pairs(X) if _stacks_hessians(n, p) else None
         halvings = halvings[None]
-    # Where a block stacks its Hessians, lazy refresh costs more in Newton
-    # passes than it saves in Hessians: a pareto-small infer took 1.46 s
-    # with it and 1.27 s without.
-    refresh = _REFRESH if lazy and not _stacks_hessians(n, p) else 1
-    check = on_converged is not None or not lazy
+    # Where a block stacks its Hessians, refresh costs more in Newton passes
+    # than it saves in Hessians: a pareto-small infer took 1.46 s with it
+    # and 1.27 s without.
+    refresh = 1 if _stacks_hessians(n, p) else _REFRESH
     rows = _lockstep_rows(n, p)
+    start = [None, None]  # key and factor of the last first-pass Hessian
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
         _refit_block(
             X, Y, weights, family, opts, pairs, halvings, fits, idx, on_converged,
-            refresh, check,
+            refresh, start,
         )
     return fits
 
 
 def _refit_block(
-    X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged, refresh, check
+    X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged, refresh, start
 ):
     """Lockstep Newton over replicates ``idx``; writes their results back.
     ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
     lengths below 1 that are tried in one product, longest first. A
     stepping replicate forms a fresh factor at iterations divisible by
     ``refresh``, and after a step on its held factor failed; a converged
-    one forms one if ``check``."""
+    one forms one for ``on_converged``. ``start`` carries the key and
+    factor of the last first-pass Hessian from block to block."""
     n, p = X.shape
     beta = fits.betas[idx]
     y = Y[idx]
@@ -382,7 +377,7 @@ def _refit_block(
     np.copyto(T, 0.0, where=dead)
     obj = (c * family.nll(y, T)).sum(axis=1)
     polish_left = np.full(idx.size, 3)
-    held = [None] * idx.size  # each lazy replicate's latest Cholesky factor
+    held = [None] * idx.size  # each refreshing replicate's latest Cholesky factor
     retry = np.zeros(idx.size, dtype=bool)  # a step on the held factor failed
     for it in range(opts.max_iter + 1):
         G = (c * family.d1(y, T)) @ X
@@ -402,15 +397,15 @@ def _refit_block(
         ))
 
         # Fresh factors: the Newton system of each stepping row due one, the
-        # post-convergence check of each converged one if checked. A stacked
-        # product keeps the unchecked converged rows too, so that its other
-        # rows round as they do in an exact fit.
-        fresh = stepping & (retry | (it % refresh == 0)) | conv & check
+        # post-convergence check of each converged one if the caller reads
+        # it. A stacked product keeps the unchecked converged rows too, so
+        # that its other rows round as they do in a checked fit.
+        fresh = stepping & (retry | (it % refresh == 0)) | conv & (on_converged is not None)
         need = np.flatnonzero(fresh | conv & (pairs is not None))
         W = c[need] * family.d2(y[need], T[need])
         if pairs is not None:
             stacked = _stacked_hessians(X, pairs, W)
-        last = None
+        last, L = start if it == 0 else (None, None)
         direction = np.zeros((idx.size, p))
         for k, r in enumerate(need.tolist()):
             if not fresh[r]:
@@ -434,8 +429,10 @@ def _refit_block(
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
                 if refresh > 1:
                     held[r] = L
+        if it == 0:
+            start[:] = last, L
         retry[fresh] = False
-        if not check:
+        if on_converged is None:
             done.update(dict.fromkeys(np.flatnonzero(conv).tolist(), FitStatus.CONVERGED))
         trial = np.array(
             [r for r in np.flatnonzero(stepping).tolist() if r not in done], dtype=int

@@ -174,7 +174,7 @@ def estimate_gamma(
         except ResizedBootError:
             pass
 
-    refit_many(data.X, Y, data.family, beta0, on_converged=record, lazy=True)
+    refit_many(data.X, Y, data.family, beta0, on_converged=record)
     eta_samples = etas.reshape(grid_size, reps)
 
     keep = ~np.isnan(eta_samples)

@@ -19,9 +19,9 @@ from resizedboot import (
 from conftest import simulate_logistic
 from oracles import monte_carlo_mles
 
-# the engine silences only the overflow of trial steps; any other floating
-# point warning from a fit is a fault
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# The suite turns every RuntimeWarning into an error (pyproject.toml): the
+# engine silences only the overflow of trial steps, and any other floating
+# point warning from a fit is a fault.
 
 
 @pytest.fixture(scope="module")

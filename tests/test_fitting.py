@@ -21,9 +21,9 @@ from oracles import (
     reference_newton_fit,
 )
 
-# the engine silences only the overflow of trial steps; any other floating
-# point warning from a fit is a fault
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+# The suite turns every RuntimeWarning into an error (pyproject.toml): the
+# engine silences only the overflow of trial steps, and any other floating
+# point warning from a fit is a fault.
 
 
 def test_intercept_only_logistic_balanced():
@@ -218,9 +218,11 @@ def _ends_at_float_floor(ref):
 @pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
 def test_refit_many_matches_newton_fit(family_name, stacked, monkeypatch):
     # each replicate of a lockstep block, and its response fitted alone by
-    # newton_fit, against the reference loop
+    # newton_fit, against the reference loop. Per replicate, exact Newton
+    # steps are a test configuration: a Hessian at every iteration
     if not stacked:
         monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+        monkeypatch.setattr(fitting, "_REFRESH", 1)
     family = get_family(family_name)
     seen = set()
     counted = total = 0
@@ -342,6 +344,7 @@ def test_weighted_refit_many_matches_resampled_fits(family_name, stacked, monkey
     # the resampled rows themselves
     if not stacked:
         monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+        monkeypatch.setattr(fitting, "_REFRESH", 1)
     family = get_family(family_name)
     seen = set()
     far = 0.0
@@ -405,34 +408,40 @@ def _replicate_cases(family_name):
 @pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
 def test_lazy_refit_many_matches_newton_fit(family_name, monkeypatch):
     # replicates that hold their Hessian factor for up to three Newton
-    # steps end where the exact Newton reference does
+    # steps, in a block and fitted alone by newton_fit, end where the exact
+    # Newton reference does
     monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
     family = get_family(family_name)
-    restarted = 0
-    for X, Y, beta0, opts, weights, own in _replicate_cases(family_name):
+    restarted = set()
+    for case, (X, Y, beta0, opts, weights, own) in enumerate(_replicate_cases(family_name)):
         assert not fitting._stacks_hessians(*X.shape)
         factors = {}
         fits = refit_many(
-            X, Y, family, beta0, opts, weights=weights, lazy=True,
+            X, Y, family, beta0, opts, weights=weights,
             on_converged=lambda b, t, chol: factors.setdefault(b, chol),
         )
         for b in range(Y.shape[0]):
-            status = fits.statuses[b]
-            if opts.max_iter == 2:
-                assert fits.n_iter[b] <= 2
-                continue
             Xb, yb, beta0_b = own(b)
-            ref = reference_newton_fit(Xb, yb, family, opts, beta0=beta0_b)
-            if ref.status is FitStatus.MAX_ITER and ref.n_iter <= 1 and status is FitStatus.CONVERGED:
-                # a far start where exact Newton stalls at once; the held
-                # factor's steps get through to the fit from zero
-                ref = reference_newton_fit(Xb, yb, family, opts)
-                restarted += 1
-            assert status is ref.status, (b, status, ref.status)
-            if status is FitStatus.CONVERGED:
-                np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
-                np.testing.assert_allclose(factors[b], ref.chol, rtol=1e-6, atol=1e-9)
-    assert restarted <= 2
+            in_block = FitResult(
+                fits.betas[b], fits.statuses[b], fits.n_iter[b], fits.grad_norm[b],
+                chol=factors.get(b),
+            )
+            alone = newton_fit(Xb, yb, family, opts, beta0=beta0_b)
+            for fit in (in_block, alone):
+                if opts.max_iter == 2:
+                    assert fit.n_iter <= 2
+                    continue
+                ref = reference_newton_fit(Xb, yb, family, opts, beta0=beta0_b)
+                if ref.status is FitStatus.MAX_ITER and ref.n_iter <= 1 and fit.converged:
+                    # a far start where exact Newton stalls at once; the held
+                    # factor's steps get through to the fit from zero
+                    ref = reference_newton_fit(Xb, yb, family, opts)
+                    restarted.add((case, b))
+                assert fit.status is ref.status, (b, fit.status, ref.status)
+                if fit.converged:
+                    np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6)
+                    np.testing.assert_allclose(fit.chol, ref.chol, rtol=1e-6, atol=1e-9)
+    assert len(restarted) <= 2
 
 
 def _count_hessians(monkeypatch):
@@ -457,9 +466,29 @@ def test_lazy_block_shares_its_start_hessian(family_name, formed, monkeypatch):
     rng = np.random.default_rng(6)
     Y = np.array([family.simulate(data.X @ beta, rng) for _ in range(9)])
     calls = _count_hessians(monkeypatch)
-    fits = refit_many(data.X, Y, family, beta, FitOptions(max_iter=1), lazy=True)
-    assert set(fits.statuses) == {FitStatus.MAX_ITER}
-    assert len(calls) == formed
+    for rows in (None, 3):
+        if rows is not None:
+            # the start Hessian carries across blocks as well
+            monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
+        calls.clear()
+        fits = refit_many(data.X, Y, family, beta, FitOptions(max_iter=1))
+        assert set(fits.statuses) == {FitStatus.MAX_ITER}
+        assert len(calls) == formed
+
+
+def test_newton_fit_refreshes_where_hessians_are_not_stacked(monkeypatch):
+    # one response follows the step rule of a block at the same size: exact
+    # steps and a check at convergence where Hessians would be stacked, a
+    # held factor between refreshes elsewhere
+    data, _ = simulate_logistic(200, 5, seed=4, scale=1.5)
+    calls = _count_hessians(monkeypatch)
+    fit = fit_mle(data)
+    assert fit.converged and len(calls) == fit.n_iter + 1
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    calls.clear()
+    fit = fit_mle(data)
+    assert fit.converged and fit.n_iter > fitting._REFRESH
+    assert len(calls) < fit.n_iter + 1
 
 
 def test_weighted_hessians_skip_undrawn_rows(monkeypatch):
@@ -485,11 +514,11 @@ def test_lazy_refit_many_does_not_depend_on_blocking(monkeypatch):
     data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
     rng = np.random.default_rng(6)
     Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(23)])
-    whole = refit_many(data.X, Y, data.family, beta, lazy=True)
+    whole = refit_many(data.X, Y, data.family, beta)
     assert all(s is FitStatus.CONVERGED for s in whole.statuses)
     assert whole.n_iter.max() > 3  # some replicates refresh their factor
     for rows in (1, 5, 7):
         monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
-        part = refit_many(data.X, Y, data.family, beta, lazy=True)
+        part = refit_many(data.X, Y, data.family, beta)
         assert part.statuses == whole.statuses
         np.testing.assert_allclose(part.betas, whole.betas, rtol=0, atol=1e-8)

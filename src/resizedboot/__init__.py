@@ -57,7 +57,6 @@ from .exceptions import (
 from .families import FAMILY_NAMES, Family, Logistic, PoissonLog, Probit, get_family
 from .fitting import (
     Dataset,
-    FitOptions,
     FitResult,
     FitStatus,
     fit_mle,

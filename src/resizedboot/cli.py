@@ -25,21 +25,19 @@ import numpy as np
 
 from ._blas import scipy_blas_single_thread
 from .coverage import (
-    _GAMMA_KEY,
     METHODS,
     check_methods,
     fit_or_fail,
     infer,
     run_coverage,
+    signal_curve,
 )
 from .designs import DESIGN_NAMES, DesignSpec, generate_dataset, named_design
 from .exceptions import CsvParseError, ResizedBootError
 from .families import FAMILY_NAMES, get_family
 from .fitting import Dataset
 from .intervals import classical_se, classical_wald_ci
-from .rng import child_seed
 from .serialize import SCHEMA_VERSION, fmt, write_csv, write_json
-from .signal_strength import estimate_gamma
 
 
 # ----------------------------------------------------------------------
@@ -365,10 +363,7 @@ def cmd_curve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(args)
     fit = fit_or_fail(data)
-    curve = estimate_gamma(
-        data, fit, grid_size=args.grid, reps=args.reps,
-        seed=child_seed(args.seed, _GAMMA_KEY),
-    )
+    curve = signal_curve(data, fit, seed=args.seed, grid_size=args.grid, reps=args.reps)
     smooth_at = dict(zip(curve.smooth_gamma.tolist(), curve.smooth_eta.tolist()))
     rows = []
     for i, (s, g) in enumerate(zip(curve.s_grid, curve.gamma_grid)):

@@ -42,7 +42,7 @@ from .intervals import (
 )
 from .rng import child_seed, substream
 from .serialize import SCHEMA_VERSION
-from .signal_strength import estimate_gamma, sd_linear_predictor
+from .signal_strength import GammaCurve, estimate_gamma, sd_linear_predictor
 
 _X_STREAM, _Y_STREAM = 1, 2
 # stage k of infer draws from child_seed(seed, k, *key)
@@ -162,6 +162,18 @@ class Inference:
         return IntervalSet(lo=ci.lo, hi=ci.hi, level=ci.level, method=method)
 
 
+def signal_curve(
+    data: Dataset, fit: FitResult, *, seed: int, key: tuple[int, ...] = (),
+    grid_size: int = 10, reps: int = 3,
+) -> GammaCurve:
+    """The eta(gamma) curve from which ``infer`` estimates gamma, drawn from
+    its stage of ``child_seed(seed, stage, *key)``."""
+    return estimate_gamma(
+        data, fit, grid_size=grid_size, reps=reps,
+        seed=child_seed(seed, _GAMMA_KEY, *key),
+    )
+
+
 def infer(
     data: Dataset,
     *,
@@ -190,9 +202,8 @@ def infer(
         if gamma is not None:
             gamma_hat = float(gamma)
         else:
-            curve = estimate_gamma(
-                data, fit, grid_size=grid_size, reps=reps,
-                seed=child_seed(seed, _GAMMA_KEY, *key),
+            curve = signal_curve(
+                data, fit, seed=seed, key=key, grid_size=grid_size, reps=reps
             )
             gamma_hat, eta_tilde = curve.gamma_hat, curve.eta_tilde
         resized = resize(fit, gamma_hat, data.X, has_intercept=data.has_intercept)

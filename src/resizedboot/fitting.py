@@ -10,6 +10,9 @@ every hyperplane (objective at least log 2), so the certificate can never
 misfire; runaway coefficient norms and near-zero objectives stay in as
 backstops for quasi-separation.
 
+The solver has no options: its tolerance ``_TOL``, budgets ``_MAX_ITER``
+and ``_MAX_HALVINGS``, ``_RIDGE`` and separability thresholds are constants.
+
 There is one Newton engine: ``refit_many`` fits many response vectors
 against one shared ``X`` in lockstep blocks, and reports each replicate's
 status, Newton iteration count and final gradient norm. The parametric,
@@ -94,16 +97,13 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Newton solver controls. Defaults follow standard GLM practice."""
-
-    tol: float = 1e-8                 # gradient-norm stopping rule
-    max_iter: int = 100
-    max_halvings: int = 30
-    ridge: float = 1e-10              # scale of the one-shot Cholesky fallback
-    separable_beta_norm: float = 1e6
-    separable_objective: float = 1e-10  # per observation; binary families only
+# Newton solver constants, read at call time; defaults of standard GLM practice.
+_TOL = 1e-8                    # gradient-norm stopping rule
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
+_RIDGE = 1e-10                 # scale of the one-shot Cholesky fallback
+_SEPARABLE_BETA_NORM = 1e6
+_SEPARABLE_OBJECTIVE = 1e-10   # per observation; binary families only
 
 
 @dataclass
@@ -173,17 +173,13 @@ def _cholesky(H: np.ndarray, ridge: float | None = None) -> np.ndarray | None:
 
 
 def newton_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    family: Family,
-    opts: FitOptions = FitOptions(),
-    beta0: np.ndarray | None = None,
+    X: np.ndarray, y: np.ndarray, family: Family, beta0: np.ndarray | None = None
 ) -> FitResult:
     """Fit one response vector on raw arrays (no Dataset validation): the
     one-row case of ``refit_many``, from ``beta0`` or zero."""
     end = {}
     fits = refit_many(
-        X, y, family, np.zeros(np.shape(X)[1]) if beta0 is None else beta0, opts,
+        X, y, family, np.zeros(np.shape(X)[1]) if beta0 is None else beta0,
         on_converged=lambda b, t, chol: end.update(eta_lin=t, chol=chol),
     )
     return FitResult(
@@ -195,14 +191,9 @@ def newton_fit(
     )
 
 
-def fit_mle(
-    data: Dataset,
-    opts: FitOptions = FitOptions(),
-    *,
-    beta0: np.ndarray | None = None,
-) -> FitResult:
+def fit_mle(data: Dataset) -> FitResult:
     """Maximum-likelihood fit of ``data``; see FitStatus for outcomes."""
-    return newton_fit(data.X, data.y, data.family, opts, beta0)
+    return newton_fit(data.X, data.y, data.family)
 
 
 # Replicates that share X are refitted in lockstep blocks whose working
@@ -267,7 +258,6 @@ def refit_many(
     Y: np.ndarray,
     family: Family,
     beta0: np.ndarray,
-    opts: FitOptions = FitOptions(),
     *,
     weights: np.ndarray | None = None,
     on_converged=None,
@@ -285,15 +275,16 @@ def refit_many(
     Replicates run in lockstep blocks of about ``_BLOCK_BYTES`` of working
     arrays and leave their block as they finish. Each one ends as SEPARABLE
     (binary families: every margin of a row of positive weight is positive,
-    a coefficient norm above ``separable_beta_norm``, or an objective below
-    ``separable_objective`` times the total weight), CONVERGED (gradient
-    norm at most ``tol``), SINGULAR_HESSIAN (no factor even after the ridge
-    retry), or else MAX_ITER: after ``max_iter`` iterations, or when no step
-    halving decreases the objective and no polish step is left. Only with
-    ``on_converged`` is a Hessian factored at convergence: without a ridge,
-    or the replicate ends SINGULAR_HESSIAN. ``on_converged(b, t, chol)`` is
-    called for each converged replicate b with its linear predictor (held
-    at 0 on rows of weight 0) and that lower Cholesky factor.
+    a coefficient norm above ``_SEPARABLE_BETA_NORM``, or an objective below
+    ``_SEPARABLE_OBJECTIVE`` times the total weight), CONVERGED (gradient
+    norm at most ``_TOL``), SINGULAR_HESSIAN (no factor even after the
+    ``_RIDGE`` retry), or else MAX_ITER: after ``_MAX_ITER`` iterations, or
+    when no step halving decreases the objective and no polish step is
+    left. Only with ``on_converged`` is a Hessian factored at convergence:
+    without a ridge, or the replicate ends SINGULAR_HESSIAN.
+    ``on_converged(b, t, chol)`` is called for each converged replicate b
+    with its linear predictor (held at 0 on rows of weight 0) and that
+    lower Cholesky factor.
 
     Where ``_stacks_hessians(n, p)`` holds, as at n=400, p=40, every step
     is an exact Newton step, for one response too. Elsewhere, as at
@@ -333,7 +324,7 @@ def refit_many(
     # than its few Hessians save, and tries its halvings one at a time,
     # longest first, as the reference loop in tests/oracles.py does; where
     # its steps are exact, its results then match that loop's to the bit.
-    halvings = 0.5 ** np.arange(1, opts.max_halvings + 1)
+    halvings = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
     if m == 1:
         pairs, halvings = None, halvings[:, None]
     else:
@@ -348,14 +339,14 @@ def refit_many(
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
         _refit_block(
-            X, Y, weights, family, opts, pairs, halvings, fits, idx, on_converged,
-            refresh, start,
+            X, Y, weights, family, pairs, halvings, fits, idx, on_converged, refresh,
+            start,
         )
     return fits
 
 
 def _refit_block(
-    X, Y, C, family, opts, pairs, halvings, fits, idx, on_converged, refresh, start
+    X, Y, C, family, pairs, halvings, fits, idx, on_converged, refresh, start
 ):
     """Lockstep Newton over replicates ``idx``; writes their results back.
     ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
@@ -379,38 +370,34 @@ def _refit_block(
     polish_left = np.full(idx.size, 3)
     held = [None] * idx.size  # each refreshing replicate's latest Cholesky factor
     retry = np.zeros(idx.size, dtype=bool)  # a step on the held factor failed
-    for it in range(opts.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         G = (c * family.d1(y, T)) @ X
         grad_norm = np.linalg.norm(G, axis=1)
         sep = np.zeros(idx.size, dtype=bool)
         if family.is_binary:
             sep = (
                 (np.min(y * T + lift, axis=1) > 0.0)
-                | (np.linalg.norm(beta, axis=1) > opts.separable_beta_norm)
-                | (obj < c.sum(axis=1) * opts.separable_objective)
+                | (np.linalg.norm(beta, axis=1) > _SEPARABLE_BETA_NORM)
+                | (obj < c.sum(axis=1) * _SEPARABLE_OBJECTIVE)
             )
-        conv = ~sep & (grad_norm <= opts.tol)
-        stepping = ~sep & ~conv & (it < opts.max_iter)
+        conv = ~sep & (grad_norm <= _TOL)
+        stepping = ~sep & ~conv & (it < _MAX_ITER)
         done = dict.fromkeys(np.flatnonzero(sep).tolist(), FitStatus.SEPARABLE)
         done.update(dict.fromkeys(
             np.flatnonzero(~(sep | conv | stepping)).tolist(), FitStatus.MAX_ITER
         ))
 
         # Fresh factors: the Newton system of each stepping row due one, the
-        # post-convergence check of each converged one if the caller reads
-        # it. A stacked product keeps the unchecked converged rows too, so
-        # that its other rows round as they do in a checked fit.
+        # post-convergence check of each converged one if the caller reads it.
         fresh = stepping & (retry | (it % refresh == 0)) | conv & (on_converged is not None)
-        need = np.flatnonzero(fresh | conv & (pairs is not None))
+        need = np.flatnonzero(fresh)
         W = c[need] * family.d2(y[need], T[need])
         if pairs is not None:
             stacked = _stacked_hessians(X, pairs, W)
         last, L = start if it == 0 else (None, None)
         direction = np.zeros((idx.size, p))
         for k, r in enumerate(need.tolist()):
-            if not fresh[r]:
-                continue
-            ridge = None if conv[r] else opts.ridge
+            ridge = None if conv[r] else _RIDGE
             if pairs is not None:
                 L = _cholesky(stacked[k], ridge)
             elif (key := (ridge, W[k].tobytes())) != last:
@@ -423,8 +410,7 @@ def _refit_block(
                 done[r] = FitStatus.SINGULAR_HESSIAN
             elif conv[r]:
                 done[r] = FitStatus.CONVERGED
-                if on_converged is not None:
-                    on_converged(int(idx[r]), T[r], L)
+                on_converged(int(idx[r]), T[r], L)
             else:
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
                 if refresh > 1:

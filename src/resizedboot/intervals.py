@@ -8,7 +8,9 @@ standard deviations sigma_hat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -120,12 +122,13 @@ def boot_g_ci(fit: FitResult, summary: "BootstrapSummary", level: float) -> Inte
 def check_boot_t_replicates(n_boot: int, level: float) -> None:
     """Raise ``InsufficientBootstrapError`` unless ``n_boot`` replicates leave
     at least 40 in the tails of a boot-t interval at ``level``, so that its
-    pivot quantiles are interior order statistics: n_boot * (1 - level) >= 40."""
-    q = 1.0 - _check_level(level)
-    if n_boot * q < 40.0:
+    pivot quantiles are interior order statistics: n_boot * (1 - level) >= 40,
+    with ``level`` exactly the decimal it prints as (in floats 200 * (1 - 0.8)
+    is 39.99999999999999)."""
+    need = math.ceil(40 / (1 - Fraction(repr(_check_level(level)))))
+    if n_boot < need:
         raise InsufficientBootstrapError(
-            f"boot-t at level {level} needs at least {int(np.ceil(40.0 / q))} "
-            f"replicates; have {n_boot}"
+            f"boot-t at level {level} needs at least {need} replicates; have {n_boot}"
         )
 
 

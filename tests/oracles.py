@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, optimize
 
+import resizedboot.fitting as fitting
 from resizedboot import FitFailedError
 from resizedboot.fitting import (
     Dataset,
-    FitOptions,
     FitStatus,
     _cholesky,
     _hessian,
@@ -108,11 +108,13 @@ class ReferenceFit:
     chol: np.ndarray | None
 
 
-def reference_newton_fit(X, y, family, opts=FitOptions(), beta0=None) -> ReferenceFit:
+def reference_newton_fit(X, y, family, beta0=None) -> ReferenceFit:
     """Damped Newton on one response vector, one iterate at a time: the
-    separability rules, ``tol`` and ``max_iter``, the ridge retry, step
+    separability rules, ``_TOL`` and ``_MAX_ITER``, the ridge retry, step
     halving, the polish steps, a stall ending as MAX_ITER, and the
-    post-convergence Hessian check that ``refit_many`` must follow."""
+    post-convergence Hessian check that ``refit_many`` must follow. The
+    solver constants are read from ``resizedboot.fitting`` at call time, so
+    a test that patches them there sets them for both."""
     n, p = X.shape
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
     trace = []
@@ -120,7 +122,7 @@ def reference_newton_fit(X, y, family, opts=FitOptions(), beta0=None) -> Referen
     grad_norm = np.inf
     obj = np.inf
     polish_left = 3
-    for it in range(opts.max_iter + 1):
+    for it in range(fitting._MAX_ITER + 1):
         t = X @ beta
         obj = float(np.sum(family.nll(y, t)))
         grad = X.T @ family.d1(y, t)
@@ -128,18 +130,18 @@ def reference_newton_fit(X, y, family, opts=FitOptions(), beta0=None) -> Referen
         trace.append(obj)
         if family.is_binary and (
             float(np.min(y * t)) > 0.0
-            or float(np.linalg.norm(beta)) > opts.separable_beta_norm
-            or obj < n * opts.separable_objective
+            or float(np.linalg.norm(beta)) > fitting._SEPARABLE_BETA_NORM
+            or obj < n * fitting._SEPARABLE_OBJECTIVE
         ):
             status = FitStatus.SEPARABLE
             break
-        if grad_norm <= opts.tol:
+        if grad_norm <= fitting._TOL:
             status = FitStatus.CONVERGED
             break
-        if it == opts.max_iter:
+        if it == fitting._MAX_ITER:
             break
         H = _hessian(X, family.d2(y, t))
-        chol = _cholesky(H, opts.ridge)
+        chol = _cholesky(H, fitting._RIDGE)
         if chol is None:
             status = FitStatus.SINGULAR_HESSIAN
             break
@@ -147,7 +149,7 @@ def reference_newton_fit(X, y, family, opts=FitOptions(), beta0=None) -> Referen
         step = 1.0
         accepted = None
         with np.errstate(over="ignore"):
-            for _ in range(opts.max_halvings + 1):
+            for _ in range(fitting._MAX_HALVINGS + 1):
                 cand = beta + step * direction
                 cand_obj = float(np.sum(family.nll(y, X @ cand)))
                 if cand_obj < obj:  # accept any decrease; NaN/inf fail

@@ -369,6 +369,18 @@ def test_curve_command_artifacts(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(smooth, smooth[1:]))
 
 
+def test_curve_command_draws_the_curve_of_infer(tmp_path):
+    common = ["--data", str(FIXTURE), "--family", "logistic", "--seed", "3"]
+    assert main(["curve", *common, "--out", str(tmp_path / "curve")]) == 0
+    assert main(["infer", *common, "--method", "boot-g", "--out", str(tmp_path / "inf")]) == 0
+    comments = (tmp_path / "curve" / "curve.csv").read_text().splitlines()[1:3]
+    summary = json.loads((tmp_path / "inf" / "summary.json").read_text())
+    assert comments == [
+        f"# eta_tilde={fmt(summary['eta_tilde'])}",
+        f"# gamma_hat={fmt(summary['gamma_hat'])}",
+    ]
+
+
 def test_coverage_command_runs_and_reports(tmp_path, capsys):
     design = {
         "schema_version": 1, "n": 120, "p": 4,

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ import resizedboot.fitting as fitting
 from resizedboot import (
     Dataset,
     DatasetError,
-    FitOptions,
     FitResult,
     FitStatus,
     fit_mle,
@@ -24,6 +25,16 @@ from oracles import (
 # The suite turns every RuntimeWarning into an error (pyproject.toml): the
 # engine silences only the overflow of trial steps, and any other floating
 # point warning from a fit is a fault.
+
+
+@contextmanager
+def _solver(monkeypatch, constants):
+    """fitting's solver constants (names to values) set inside the block,
+    for the engine and the reference loop alike."""
+    with monkeypatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(fitting, name, value)
+        yield
 
 
 def test_intercept_only_logistic_balanced():
@@ -109,9 +120,11 @@ def test_separating_direction_really_separates():
     assert np.min(y * (X @ w)) > 0
 
 
-def test_max_iter_budget_respected():
+def test_max_iter_budget_respected(monkeypatch):
     data, _ = simulate_logistic(200, 10, seed=2, scale=3.0)
-    fit = fit_mle(data, FitOptions(max_iter=1, tol=1e-14))
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+    monkeypatch.setattr(fitting, "_TOL", 1e-14)
+    fit = fit_mle(data)
     assert fit.status is FitStatus.MAX_ITER
     assert fit.n_iter == 1
 
@@ -128,7 +141,7 @@ def test_duplicate_column_reports_singular_hessian():
 def test_warm_start_agrees_with_cold_start():
     data, beta = simulate_logistic(250, 5, seed=21)
     cold = fit_mle(data)
-    warm = fit_mle(data, beta0=beta)
+    warm = newton_fit(data.X, data.y, data.family, beta0=beta)
     np.testing.assert_allclose(cold.beta_hat, warm.beta_hat, atol=1e-9)
 
 
@@ -171,12 +184,13 @@ def test_poisson_fit_matches_oracle():
 # ---------------------------------- lockstep engine vs the reference Newton loop
 
 def _engine_cases(family_name):
-    """(X, Y, beta0, opts) cases whose replicates end in every status:
+    """(X, Y, beta0, solver) cases whose replicates end in every status:
     converged, separable (binary), max_iter, and a duplicate column's
     singular Hessian. Tight separability thresholds make the coefficient
     norm and objective rules fire on binary replicates that are not
     separated. The last case starts far below an intercept, where Poisson
-    line-search steps overflow exp(). beta0 has one row per replicate."""
+    line-search steps overflow exp(). beta0 has one row per replicate, and
+    ``solver`` maps the solver constants a case sets to their values."""
     family = get_family(family_name)
     rng = np.random.default_rng(12)
     n, p = 60, 4
@@ -195,11 +209,11 @@ def _engine_cases(family_name):
     Y1 = np.array([family.simulate(X1 @ beta, rng) for _ in range(6)])
     far = np.tile([-20.0, 0.0, 0.0, 0.0], (6, 1))
     return [
-        (X, Y, beta0, FitOptions()),
-        (X, Y, beta0, FitOptions(max_iter=2)),
-        (X, Y, beta0, FitOptions(separable_beta_norm=5.0, separable_objective=0.4)),
-        (dup, Y, beta0[:, :3], FitOptions()),
-        (X1, Y1, far, FitOptions()),
+        (X, Y, beta0, {}),
+        (X, Y, beta0, {"_MAX_ITER": 2}),
+        (X, Y, beta0, {"_SEPARABLE_BETA_NORM": 5.0, "_SEPARABLE_OBJECTIVE": 0.4}),
+        (dup, Y, beta0[:, :3], {}),
+        (X1, Y1, far, {}),
     ]
 
 
@@ -226,39 +240,40 @@ def test_refit_many_matches_newton_fit(family_name, stacked, monkeypatch):
     family = get_family(family_name)
     seen = set()
     counted = total = 0
-    for X, Y, beta0, opts in _engine_cases(family_name):
+    for X, Y, beta0, solver in _engine_cases(family_name):
         factors = {}
-        fits = refit_many(
-            X, Y, family, beta0, opts,
-            on_converged=lambda b, t, chol: factors.setdefault(b, (t, chol)),
-        )
-        for b in range(Y.shape[0]):
-            ref = reference_newton_fit(X, Y[b], family, opts, beta0=beta0[b])
-            in_block = FitResult(
-                fits.betas[b], fits.statuses[b], fits.n_iter[b], fits.grad_norm[b],
-                *factors.pop(b, (None, None)),
+        with _solver(monkeypatch, solver):
+            fits = refit_many(
+                X, Y, family, beta0,
+                on_converged=lambda b, t, chol: factors.setdefault(b, (t, chol)),
             )
-            alone = newton_fit(X, Y[b], family, opts, beta0=beta0[b])
-            at_floor = _ends_at_float_floor(ref)
-            for fit in (in_block, alone):
-                assert fit.status is ref.status, (b, fit.status, ref.status)
-                if not at_floor:
-                    assert fit.n_iter == ref.n_iter, (b, fit.n_iter, ref.n_iter)
-                    # a gradient norm far below tol is itself rounding
-                    assert fit.grad_norm == pytest.approx(
-                        ref.grad_norm, rel=1e-6, abs=1e-4 * opts.tol
-                    ), b
-                if ref.status is FitStatus.CONVERGED:
-                    np.testing.assert_allclose(
-                        fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6
-                    )
-                    np.testing.assert_allclose(fit.eta_lin, ref.eta_lin, rtol=0, atol=1e-6)
-                    np.testing.assert_allclose(fit.chol, ref.chol, rtol=1e-6, atol=1e-9)
-                else:
-                    assert fit.eta_lin is None and fit.chol is None
-            seen.add(ref.status)
-            total += 1
-            counted += not at_floor
+            for b in range(Y.shape[0]):
+                ref = reference_newton_fit(X, Y[b], family, beta0=beta0[b])
+                in_block = FitResult(
+                    fits.betas[b], fits.statuses[b], fits.n_iter[b], fits.grad_norm[b],
+                    *factors.pop(b, (None, None)),
+                )
+                alone = newton_fit(X, Y[b], family, beta0=beta0[b])
+                at_floor = _ends_at_float_floor(ref)
+                for fit in (in_block, alone):
+                    assert fit.status is ref.status, (b, fit.status, ref.status)
+                    if not at_floor:
+                        assert fit.n_iter == ref.n_iter, (b, fit.n_iter, ref.n_iter)
+                        # a gradient norm far below tol is itself rounding
+                        assert fit.grad_norm == pytest.approx(
+                            ref.grad_norm, rel=1e-6, abs=1e-4 * fitting._TOL
+                        ), b
+                    if ref.status is FitStatus.CONVERGED:
+                        np.testing.assert_allclose(
+                            fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6
+                        )
+                        np.testing.assert_allclose(fit.eta_lin, ref.eta_lin, rtol=0, atol=1e-6)
+                        np.testing.assert_allclose(fit.chol, ref.chol, rtol=1e-6, atol=1e-9)
+                    else:
+                        assert fit.eta_lin is None and fit.chol is None
+                seen.add(ref.status)
+                total += 1
+                counted += not at_floor
     assert 2 * counted > total  # the counts are checked on most replicates
     expected = {FitStatus.CONVERGED, FitStatus.MAX_ITER, FitStatus.SINGULAR_HESSIAN}
     if family.is_binary:
@@ -309,10 +324,34 @@ def test_one_response_builds_no_pair_table(monkeypatch):
     assert fit.n_iter > 0
 
 
+def test_stacked_hessians_are_formed_only_where_read(monkeypatch):
+    # a stacked product holds a Hessian for each Newton step, and one at
+    # convergence only for a caller that reads its factor
+    data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
+    assert fitting._stacks_hessians(data.n, data.p)
+    rng = np.random.default_rng(6)
+    Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(9)])
+    formed = []
+    real = fitting._stacked_hessians
+
+    def counted(X, pairs, W):
+        formed.append(W.shape[0])
+        return real(X, pairs, W)
+
+    monkeypatch.setattr(fitting, "_stacked_hessians", counted)
+    fits = refit_many(data.X, Y, data.family, beta)
+    assert set(fits.statuses) == {FitStatus.CONVERGED}
+    assert sum(formed) == fits.n_iter.sum()
+    formed.clear()
+    fits = refit_many(data.X, Y, data.family, beta, on_converged=lambda b, t, chol: None)
+    assert set(fits.statuses) == {FitStatus.CONVERGED}
+    assert sum(formed) == (fits.n_iter + 1).sum()
+
+
 # ------------------------------- weighted replicates vs refits of the resamples
 
 def _resample_cases(family_name):
-    """(X, y, idx, beta0, opts): pairs resamples ``X[idx[b]], y[idx[b]]``.
+    """(X, y, idx, beta0, solver): pairs resamples ``X[idx[b]], y[idx[b]]``.
     Row 0 of X is an outlier that no resample draws: the predictor there
     grows far past where exp() overflows, which every trial step of a
     Poisson fit evaluates. Binary cases put it on the wrong side of the
@@ -334,7 +373,7 @@ def _resample_cases(family_name):
         right = 1 + np.flatnonzero(y[1:] * (X[1:] @ beta) > 0)
         idx[::4] = rng.choice(right, (4, n + 1))
     beta0 = np.zeros(p)
-    return [(X, y, idx, beta0, FitOptions()), (X, y, idx, beta0, FitOptions(max_iter=2))]
+    return [(X, y, idx, beta0, {}), (X, y, idx, beta0, {"_MAX_ITER": 2})]
 
 
 @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-replicate"])
@@ -348,19 +387,20 @@ def test_weighted_refit_many_matches_resampled_fits(family_name, stacked, monkey
     family = get_family(family_name)
     seen = set()
     far = 0.0
-    for X, y, idx, beta0, opts in _resample_cases(family_name):
+    for X, y, idx, beta0, solver in _resample_cases(family_name):
         counts = np.array([np.bincount(i, minlength=X.shape[0]) for i in idx])
         assert not counts[:, 0].any()
-        fits = refit_many(
-            X, np.broadcast_to(y, counts.shape), family, beta0, opts, weights=counts
-        )
-        for b, rows in enumerate(idx):
-            ref = reference_newton_fit(X[rows], y[rows], family, opts, beta0=beta0)
-            assert fits.statuses[b] is ref.status, (b, fits.statuses[b], ref.status)
-            if ref.status is FitStatus.CONVERGED:
-                np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
-                far = max(far, X[0] @ ref.beta_hat)
-            seen.add(ref.status)
+        with _solver(monkeypatch, solver):
+            fits = refit_many(
+                X, np.broadcast_to(y, counts.shape), family, beta0, weights=counts
+            )
+            for b, rows in enumerate(idx):
+                ref = reference_newton_fit(X[rows], y[rows], family, beta0=beta0)
+                assert fits.statuses[b] is ref.status, (b, fits.statuses[b], ref.status)
+                if ref.status is FitStatus.CONVERGED:
+                    np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
+                    far = max(far, X[0] @ ref.beta_hat)
+                seen.add(ref.status)
     assert far > 710.0  # exp() overflows at the outlier
     assert FitStatus.CONVERGED in seen and FitStatus.MAX_ITER in seen
     if family.is_binary:
@@ -371,12 +411,13 @@ def test_weighted_refit_many_matches_resampled_fits(family_name, stacked, monkey
 
 
 @pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
-def test_unit_weights_change_no_bit(family_name):
+def test_unit_weights_change_no_bit(family_name, monkeypatch):
     # the resized bootstrap and the curve refit with the default weights
     family = get_family(family_name)
-    for X, Y, beta0, opts in _engine_cases(family_name):
-        plain = refit_many(X, Y, family, beta0, opts)
-        unit = refit_many(X, Y, family, beta0, opts, weights=np.ones(Y.shape))
+    for X, Y, beta0, solver in _engine_cases(family_name):
+        with _solver(monkeypatch, solver):
+            plain = refit_many(X, Y, family, beta0)
+            unit = refit_many(X, Y, family, beta0, weights=np.ones(Y.shape))
         assert np.array_equal(unit.betas, plain.betas)
         assert unit.statuses == plain.statuses
         assert np.array_equal(unit.n_iter, plain.n_iter)
@@ -390,57 +431,58 @@ def test_refit_many_rejects_bad_weights():
             refit_many(data.X, Y, data.family, beta, weights=weights)
 
 
-# ------------------------------------------ lazy Hessian refresh vs the reference
+# ------------------------ Hessians refreshed every _REFRESH iterations vs the reference
 
 def _replicate_cases(family_name):
-    """The engine and resample cases as (X, Y, beta0, opts, weights, own),
+    """The engine and resample cases as (X, Y, beta0, solver, weights, own),
     ``own(b)`` giving replicate b's (X, y, beta0) for the reference loop."""
-    for X, Y, beta0, opts in _engine_cases(family_name):
-        yield X, Y, beta0, opts, None, lambda b, X=X, Y=Y, beta0=beta0: (X, Y[b], beta0[b])
-    for X, y, idx, beta0, opts in _resample_cases(family_name):
+    for X, Y, beta0, solver in _engine_cases(family_name):
+        yield X, Y, beta0, solver, None, lambda b, X=X, Y=Y, beta0=beta0: (X, Y[b], beta0[b])
+    for X, y, idx, beta0, solver in _resample_cases(family_name):
         counts = np.array([np.bincount(i, minlength=X.shape[0]) for i in idx])
         yield (
-            X, np.broadcast_to(y, counts.shape), beta0, opts, counts,
+            X, np.broadcast_to(y, counts.shape), beta0, solver, counts,
             lambda b, X=X, y=y, idx=idx, beta0=beta0: (X[idx[b]], y[idx[b]], beta0),
         )
 
 
 @pytest.mark.parametrize("family_name", ["logistic", "probit", "poisson-log"])
-def test_lazy_refit_many_matches_newton_fit(family_name, monkeypatch):
+def test_refreshing_refit_many_matches_newton_fit(family_name, monkeypatch):
     # replicates that hold their Hessian factor for up to three Newton
     # steps, in a block and fitted alone by newton_fit, end where the exact
     # Newton reference does
     monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
     family = get_family(family_name)
     restarted = set()
-    for case, (X, Y, beta0, opts, weights, own) in enumerate(_replicate_cases(family_name)):
+    for case, (X, Y, beta0, solver, weights, own) in enumerate(_replicate_cases(family_name)):
         assert not fitting._stacks_hessians(*X.shape)
         factors = {}
-        fits = refit_many(
-            X, Y, family, beta0, opts, weights=weights,
-            on_converged=lambda b, t, chol: factors.setdefault(b, chol),
-        )
-        for b in range(Y.shape[0]):
-            Xb, yb, beta0_b = own(b)
-            in_block = FitResult(
-                fits.betas[b], fits.statuses[b], fits.n_iter[b], fits.grad_norm[b],
-                chol=factors.get(b),
+        with _solver(monkeypatch, solver):
+            fits = refit_many(
+                X, Y, family, beta0, weights=weights,
+                on_converged=lambda b, t, chol: factors.setdefault(b, chol),
             )
-            alone = newton_fit(Xb, yb, family, opts, beta0=beta0_b)
-            for fit in (in_block, alone):
-                if opts.max_iter == 2:
-                    assert fit.n_iter <= 2
-                    continue
-                ref = reference_newton_fit(Xb, yb, family, opts, beta0=beta0_b)
-                if ref.status is FitStatus.MAX_ITER and ref.n_iter <= 1 and fit.converged:
-                    # a far start where exact Newton stalls at once; the held
-                    # factor's steps get through to the fit from zero
-                    ref = reference_newton_fit(Xb, yb, family, opts)
-                    restarted.add((case, b))
-                assert fit.status is ref.status, (b, fit.status, ref.status)
-                if fit.converged:
-                    np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6)
-                    np.testing.assert_allclose(fit.chol, ref.chol, rtol=1e-6, atol=1e-9)
+            for b in range(Y.shape[0]):
+                Xb, yb, beta0_b = own(b)
+                in_block = FitResult(
+                    fits.betas[b], fits.statuses[b], fits.n_iter[b], fits.grad_norm[b],
+                    chol=factors.get(b),
+                )
+                alone = newton_fit(Xb, yb, family, beta0=beta0_b)
+                for fit in (in_block, alone):
+                    if fitting._MAX_ITER == 2:
+                        assert fit.n_iter <= 2
+                        continue
+                    ref = reference_newton_fit(Xb, yb, family, beta0=beta0_b)
+                    if ref.status is FitStatus.MAX_ITER and ref.n_iter <= 1 and fit.converged:
+                        # a far start where exact Newton stalls at once; the held
+                        # factor's steps get through to the fit from zero
+                        ref = reference_newton_fit(Xb, yb, family)
+                        restarted.add((case, b))
+                    assert fit.status is ref.status, (b, fit.status, ref.status)
+                    if fit.converged:
+                        np.testing.assert_allclose(fit.beta_hat, ref.beta_hat, rtol=0, atol=1e-6)
+                        np.testing.assert_allclose(fit.chol, ref.chol, rtol=1e-6, atol=1e-9)
     assert len(restarted) <= 2
 
 
@@ -457,10 +499,11 @@ def _count_hessians(monkeypatch):
 
 
 @pytest.mark.parametrize("family_name, formed", [("logistic", 1), ("probit", 9)])
-def test_lazy_block_shares_its_start_hessian(family_name, formed, monkeypatch):
+def test_refreshing_block_shares_its_start_hessian(family_name, formed, monkeypatch):
     # logistic curvature does not depend on y, so nine replicates that start
     # together form one Hessian in their first pass; probit's does
     monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
     family = get_family(family_name)
     data, beta = simulate_logistic(200, 5, seed=4)
     rng = np.random.default_rng(6)
@@ -471,7 +514,7 @@ def test_lazy_block_shares_its_start_hessian(family_name, formed, monkeypatch):
             # the start Hessian carries across blocks as well
             monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
         calls.clear()
-        fits = refit_many(data.X, Y, family, beta, FitOptions(max_iter=1))
+        fits = refit_many(data.X, Y, family, beta)
         assert set(fits.statuses) == {FitStatus.MAX_ITER}
         assert len(calls) == formed
 
@@ -493,18 +536,18 @@ def test_newton_fit_refreshes_where_hessians_are_not_stacked(monkeypatch):
 
 def test_weighted_hessians_skip_undrawn_rows(monkeypatch):
     monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
     data, beta = simulate_logistic(200, 5, seed=4)
     counts = np.random.default_rng(3).multinomial(200, np.full(200, 1 / 200), size=4)
     calls = _count_hessians(monkeypatch)
     refit_many(
-        data.X, np.broadcast_to(data.y, counts.shape), data.family, beta,
-        FitOptions(max_iter=1), weights=counts,
+        data.X, np.broadcast_to(data.y, counts.shape), data.family, beta, weights=counts
     )
     assert calls == [int((c > 0).sum()) for c in counts]
     assert max(calls) < 200
 
 
-def test_lazy_refit_many_does_not_depend_on_blocking(monkeypatch):
+def test_refreshing_refit_many_does_not_depend_on_blocking(monkeypatch):
     # a replicate's held factor and its shared start Hessian follow it
     # through blocks of any size. Not to the bit: a block's products turn
     # into matrix-vector products, which round differently, once one row is

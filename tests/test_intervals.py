@@ -16,6 +16,7 @@ from resizedboot import (
     fit_mle,
 )
 from resizedboot.fitting import FitResult
+from resizedboot.intervals import check_boot_t_replicates
 
 Z975 = float(special.ndtri(0.975))
 
@@ -167,6 +168,18 @@ def test_boot_t_insufficient_replicates():
     summary = _summary(np.random.default_rng(0).standard_normal((100, 1)), [1.0], 1.0)
     with pytest.raises(InsufficientBootstrapError):
         boot_t_ci(fit, summary, np.array([0.0]), 0.95)  # needs B >= 800
+
+
+@pytest.mark.parametrize("need, level", [(200, 0.8), (400, 0.9), (800, 0.95)])
+def test_boot_t_replicate_count_is_exact_at_the_bound(need, level):
+    # B * (1 - level) is exactly 40 here, although 200 * (1 - 0.8) rounds
+    # to 39.99999999999999
+    check_boot_t_replicates(need, level)
+    with pytest.raises(
+        InsufficientBootstrapError,
+        match=f"^boot-t at level {level} needs at least {need} replicates; have {need - 1}$",
+    ):
+        check_boot_t_replicates(need - 1, level)
 
 
 @pytest.mark.parametrize("maker", ["boot_g", "boot_t"])

@@ -15,23 +15,32 @@ and ``_MAX_HALVINGS``, ``_RIDGE`` and separability thresholds are constants.
 
 There is one Newton engine: ``refit_many`` fits many response vectors
 against one shared ``X`` in lockstep blocks, and reports each replicate's
-status, Newton iteration count and final gradient norm. The parametric,
-resized and pairs bootstraps and the signal-strength curve refit through
-it; a pairs replicate is a fit of ``X`` with each row weighted by the
-number of times it was drawn. ``newton_fit`` (so ``fit_mle``) is its
-one-response case. One response never builds the column-pair table that
-stacks a block's Hessians, and it tries its step halvings one at a time
-where a block tries all of a row's halvings in one product.
+status, Newton iteration count, final gradient norm and the number of step
+lengths it tried beyond its full steps. The parametric, resized and pairs
+bootstraps and the signal-strength curve refit through it; a pairs replicate
+is a fit of ``X`` with each row weighted by the number of times it was
+drawn. ``newton_fit`` (so ``fit_mle``) is its one-response case. One
+response never builds the column-pair table that stacks a block's Hessians,
+and it tries its step halvings one at a time where a block tries all of a
+row's halvings in one product.
 
 How a fit steps is keyed to the size of ``X`` alone. Where a block can
 stack its Hessians (``_stacks_hessians``), every fit takes exact Newton
 steps. Elsewhere every fit, ``newton_fit`` included, re-forms its Hessian
 only every third iteration and steps on the factor it holds in between
-(Shamanskii's modified Newton method). A Hessian is factored at convergence
-only for a caller that reads the factor. Adjacent replicates whose
+(Shamanskii's modified Newton method). There, once a fit has accepted a
+full step, it forms those Hessians and their factors in float32: they only
+set a direction, and the gradient, the objective, the line search and every
+test stay float64. A Hessian is factored at convergence only for a caller
+that reads the factor, and always in float64. Adjacent replicates whose
 curvature rows are equal share one Hessian, as logistic and Poisson
 replicates do at their common start, and a weighted replicate's Hessian
 sums only its rows of positive weight.
+
+A fit whose full step fails to decrease the objective scans its step
+halvings, except where the step's predicted decrease is below what the float
+sum of the objective resolves, and what follows no decrease would not end
+the fit.
 """
 
 from __future__ import annotations
@@ -129,16 +138,17 @@ class FitResult:
 
 def _hessian(X: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
     """X' diag(w) X as the symmetric rank-n product Xw' Xw, Xw = X sqrt(w),
-    over the rows of X that ``rows`` selects (all by default).
+    over the rows of X that ``rows`` selects (all by default), in the
+    precision of X: a float32 copy of X gives a float32 Hessian.
 
     The curvature is positive; far in the probit tails rounding can push a
     weight below zero, and such a weight counts as zero.
     """
     if rows is None:
-        Xw = X * np.sqrt(np.maximum(w, 0.0))[:, None]
+        Xw = X * np.sqrt(np.maximum(w, 0.0)).astype(X.dtype, copy=False)[:, None]
     else:
         Xw = X[rows]
-        Xw *= np.sqrt(np.maximum(w[rows], 0.0))[:, None]
+        Xw *= np.sqrt(np.maximum(w[rows], 0.0)).astype(X.dtype, copy=False)[:, None]
     return Xw.T @ Xw
 
 
@@ -147,19 +157,28 @@ def _hessian(X: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
 # n * eps * H_jj, of either sign, so whether the factorisation fails would
 # depend on the order of summation. Such a Hessian counts as singular.
 _PIVOT_RTOL = 1e-11
+# The same for a float32 Hessian, whose eps is 6e-8: a pivot this small
+# leaves a direction with few correct digits, so the factor is dropped and
+# the Hessian formed again in float64, which alone decides singularity.
+_PIVOT_RTOL32 = 1e-5
 
 
 def _factor(H: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of H, or None if H is not numerically positive
-    definite. LAPACK is called directly: at small p the scipy wrappers cost
-    more than the factorisation (at p=40, 12-14 us for ``dpotrf`` against
-    22-45 us for ``linalg.cholesky``/``cho_factor``, SciPy's OpenBLAS on
-    one thread)."""
-    L, info = linalg.lapack.dpotrf(H, lower=1, clean=1)
+    """Lower Cholesky factor of H, in float64 whatever the precision of H,
+    or None if H is not numerically positive definite. LAPACK is called
+    directly: at small p the scipy wrappers cost more than the factorisation
+    (at p=40, 12-14 us for ``dpotrf`` against 22-45 us for
+    ``linalg.cholesky``/``cho_factor``, SciPy's OpenBLAS on one thread)."""
+    if H.dtype == np.float32:
+        L, info = linalg.lapack.spotrf(H, lower=1, clean=1)
+        rtol = _PIVOT_RTOL32
+    else:
+        L, info = linalg.lapack.dpotrf(H, lower=1, clean=1)
+        rtol = _PIVOT_RTOL
     d = L.diagonal()
-    if info != 0 or (d * d <= _PIVOT_RTOL * H.diagonal()).any():
+    if info != 0 or (d * d <= rtol * H.diagonal()).any():
         return None
-    return L
+    return L.astype(np.float64, copy=False)
 
 
 def _cholesky(H: np.ndarray, ridge: float | None = None) -> np.ndarray | None:
@@ -251,6 +270,7 @@ class Refits(NamedTuple):
     statuses: list[FitStatus]
     n_iter: np.ndarray        # Newton iterations
     grad_norm: np.ndarray     # gradient norm at the final coefficients
+    halvings: np.ndarray      # step lengths tried beyond the full steps
 
 
 def refit_many(
@@ -281,19 +301,31 @@ def refit_many(
     ``_RIDGE`` retry), or else MAX_ITER: after ``_MAX_ITER`` iterations, or
     when no step halving decreases the objective and no polish step is
     left. Only with ``on_converged`` is a Hessian factored at convergence:
-    without a ridge, or the replicate ends SINGULAR_HESSIAN.
+    in float64, without a ridge, or the replicate ends SINGULAR_HESSIAN.
     ``on_converged(b, t, chol)`` is called for each converged replicate b
     with its linear predictor (held at 0 on rows of weight 0) and that
     lower Cholesky factor.
 
     Where ``_stacks_hessians(n, p)`` holds, as at n=400, p=40, every step
-    is an exact Newton step, for one response too. Elsewhere, as at
-    n=1000, p=100, a replicate forms a fresh Hessian only at iterations 0,
-    ``_REFRESH``, 2 ``_REFRESH``, ... and steps on the Cholesky factor it
-    holds in between: the Shamanskii modified Newton method. When no step
-    length along a held factor's direction decreases the objective, the
-    replicate takes its next pass with a fresh Hessian at the same iterate;
-    a stall or a polish step happens only on a fresh factor.
+    is an exact Newton step in float64, for one response too. Elsewhere, as
+    at n=1000, p=100, a replicate forms a fresh Hessian only at iterations
+    0, ``_REFRESH``, 2 ``_REFRESH``, ... and steps on the Cholesky factor it
+    holds in between: the Shamanskii modified Newton method. Once it has
+    accepted a full step it is inside the quadratic basin, and its fresh
+    Hessians are formed and factored in float32 from a float32 copy of
+    ``X``; the direction is solved, and every objective, gradient and test
+    evaluated, in float64. A float32 factor that fails, or has a pivot at
+    or below ``_PIVOT_RTOL32`` of its diagonal, is replaced by the float64
+    one. When no step length along a held or float32 factor's direction
+    decreases the objective, the replicate takes its next pass with a fresh
+    Hessian at the same iterate, in float64 after a float32 factor; a stall
+    happens only on a fresh float64 factor.
+
+    A replicate that fails its full step skips the step-halving scan when
+    the step's predicted decrease is below what the float sum of its
+    objective resolves, and what follows no decrease (a fresh factor, or a
+    polish step) would not end its fit. ``Refits.halvings`` counts the step
+    lengths each replicate tried beyond its full steps.
 
     Where each replicate forms its own Hessians, a replicate whose
     curvature row equals that of the replicate before it shares that one's
@@ -318,12 +350,14 @@ def refit_many(
         statuses=[FitStatus.MAX_ITER] * m,
         n_iter=np.zeros(m, dtype=int),
         grad_norm=np.full(m, np.inf),
+        halvings=np.zeros(m, dtype=int),
     )
     # A row that fails the full Newton step tries its step halvings in one
     # product. A single response builds no pair table, which would cost more
     # than its few Hessians save, and tries its halvings one at a time,
     # longest first, as the reference loop in tests/oracles.py does; where
-    # its steps are exact, its results then match that loop's to the bit.
+    # its steps are exact, its results then match that loop's to the bit
+    # until its objective reaches its float floor.
     halvings = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
     if m == 1:
         pairs, halvings = None, halvings[:, None]
@@ -332,33 +366,49 @@ def refit_many(
         halvings = halvings[None]
     # Where a block stacks its Hessians, refresh costs more in Newton passes
     # than it saves in Hessians: a pareto-small infer took 1.46 s with it
-    # and 1.27 s without.
+    # and 1.27 s without. Only refreshing fits form float32 Hessians, from
+    # one float32 copy of X per call.
     refresh = 1 if _stacks_hessians(n, p) else _REFRESH
+    X32 = X.astype(np.float32) if refresh > 1 else None
     rows = _lockstep_rows(n, p)
     start = [None, None]  # key and factor of the last first-pass Hessian
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
         _refit_block(
-            X, Y, weights, family, pairs, halvings, fits, idx, on_converged, refresh,
-            start,
+            X, X32, Y, weights, family, pairs, halvings, fits, idx, on_converged,
+            refresh, start,
         )
     return fits
 
 
+# The objective is a float sum of N terms, N the total weight (n unweighted).
+# Summed in any order, its rounding error is at most about N eps times the
+# sum of the terms' magnitudes, which is at least N eps |objective|. Along a
+# direction d from a Hessian H, a step of length s predicts the decrease
+# (s - s^2 / 2) (-G d) on the quadratic model, at most -G d / 2. So once
+# -G d is at most N eps |objective|, no step length predicts a decrease that
+# the sum resolves: a halving that passes the decrease test then passes by
+# rounding, and the scan is not worth its 30 objectives.
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _refit_block(
-    X, Y, C, family, pairs, halvings, fits, idx, on_converged, refresh, start
+    X, X32, Y, C, family, pairs, halvings, fits, idx, on_converged, refresh, start
 ):
     """Lockstep Newton over replicates ``idx``; writes their results back.
     ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
     lengths below 1 that are tried in one product, longest first. A
     stepping replicate forms a fresh factor at iterations divisible by
-    ``refresh``, and after a step on its held factor failed; a converged
-    one forms one for ``on_converged``. ``start`` carries the key and
-    factor of the last first-pass Hessian from block to block."""
+    ``refresh``, and after a step on its held or float32 factor failed; a
+    converged one forms one for ``on_converged``. Given ``X32``, a float32
+    copy of ``X``, the step Hessians of a replicate inside the basin are
+    float32. ``start`` carries the key and factor of the last first-pass
+    Hessian from block to block."""
     n, p = X.shape
     beta = fits.betas[idx]
     y = Y[idx]
     c = C[idx]
+    terms = c.sum(axis=1)
     # A row of weight 0 adds c * f = 0 to every sum as long as f is finite,
     # so its predictor is held at 0, where no family term overflows; its
     # margin is lifted to +inf, out of the separability certificate's way.
@@ -369,7 +419,8 @@ def _refit_block(
     obj = (c * family.nll(y, T)).sum(axis=1)
     polish_left = np.full(idx.size, 3)
     held = [None] * idx.size  # each refreshing replicate's latest Cholesky factor
-    retry = np.zeros(idx.size, dtype=bool)  # a step on the held factor failed
+    retry = np.zeros(idx.size, dtype=bool)  # a step on a held or float32 factor failed
+    basin = np.zeros(idx.size, dtype=bool)  # a full step was accepted
     for it in range(_MAX_ITER + 1):
         G = (c * family.d1(y, T)) @ X
         grad_norm = np.linalg.norm(G, axis=1)
@@ -378,7 +429,7 @@ def _refit_block(
             sep = (
                 (np.min(y * T + lift, axis=1) > 0.0)
                 | (np.linalg.norm(beta, axis=1) > _SEPARABLE_BETA_NORM)
-                | (obj < c.sum(axis=1) * _SEPARABLE_OBJECTIVE)
+                | (obj < terms * _SEPARABLE_OBJECTIVE)
             )
         conv = ~sep & (grad_norm <= _TOL)
         stepping = ~sep & ~conv & (it < _MAX_ITER)
@@ -395,17 +446,24 @@ def _refit_block(
         if pairs is not None:
             stacked = _stacked_hessians(X, pairs, W)
         last, L = start if it == 0 else (None, None)
+        rough = np.zeros(idx.size, dtype=bool)  # stepping on a float32 factor
+        single = False  # whether L came from a float32 Hessian
         direction = np.zeros((idx.size, p))
         for k, r in enumerate(need.tolist()):
             ridge = None if conv[r] else _RIDGE
+            # a step Hessian inside the basin is formed in float32
+            f32 = ridge is not None and X32 is not None and bool(basin[r])
             if pairs is not None:
                 L = _cholesky(stacked[k], ridge)
-            elif (key := (ridge, W[k].tobytes())) != last:
+            elif (key := (ridge, f32, W[k].tobytes())) != last:
                 # a row equal to the one before shares its factor, as the
                 # replicates of a chunk or a knot do at their common start
                 last = key
                 rows = np.flatnonzero(~dead[r]) if dead[r].any() else None
-                L = _cholesky(_hessian(X, W[k], rows), ridge)
+                L = _factor(_hessian(X32, W[k], rows)) if f32 else None
+                single = L is not None
+                if L is None:
+                    L = _cholesky(_hessian(X, W[k], rows), ridge)
             if L is None:
                 done[r] = FitStatus.SINGULAR_HESSIAN
             elif conv[r]:
@@ -413,6 +471,7 @@ def _refit_block(
                 on_converged(int(idx[r]), T[r], L)
             else:
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
+                rough[r] = single
                 if refresh > 1:
                     held[r] = L
         if it == 0:
@@ -438,38 +497,53 @@ def _refit_block(
             obj_cand = (c[trial] * family.nll(y[trial], T_cand)).sum(axis=1)
             ok = obj_cand < obj[trial]
             beta[trial[ok]], T[trial[ok]], obj[trial[ok]] = cand[ok], T_cand[ok], obj_cand[ok]
+            basin[trial[ok]] = True
             for r in trial[~ok].tolist():
-                for steps in halvings:
-                    cand = beta[r] + steps[:, None] * direction[r]
-                    T_cand = cand @ X.T
-                    np.copyto(T_cand, 0.0, where=dead[r])
-                    obj_cand = (c[r] * family.nll(y[r], T_cand)).sum(axis=1)
-                    hit = np.flatnonzero(obj_cand < obj[r])
-                    if hit.size:
-                        h = hit[0]
-                        beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
-                        break
+                # Inside the quadratic basin a full Newton step still
+                # contracts the gradient even where the objective can no
+                # longer resolve a decrease, so a fresh factor without one
+                # takes it (at most three times) and lets the gradient test
+                # decide.
+                polish = (
+                    polish_left[r] > 0 and grad_norm[r] < 1e-3
+                    and float(np.linalg.norm(direction[r]))
+                    <= 1e-2 * (1.0 + float(np.linalg.norm(beta[r])))
+                )
+                # Below the objective's float floor (see _EPS) the scan is
+                # skipped, unless finding no decrease would end the fit.
+                ends = fresh[r] and not rough[r] and not polish
+                found = False
+                if ends or -G[r] @ direction[r] > _EPS * terms[r] * abs(obj[r]):
+                    for steps in halvings:
+                        fits.halvings[idx[r]] += steps.size
+                        cand = beta[r] + steps[:, None] * direction[r]
+                        T_cand = cand @ X.T
+                        np.copyto(T_cand, 0.0, where=dead[r])
+                        obj_cand = (c[r] * family.nll(y[r], T_cand)).sum(axis=1)
+                        hit = np.flatnonzero(obj_cand < obj[r])
+                        if hit.size:
+                            h = hit[0]
+                            beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
+                            found = True
+                            break
+                if found:
+                    continue
+                # No decrease at any step length. On a held factor, try again
+                # from here with a fresh one.
+                if not fresh[r]:
+                    retry[r] = True
+                elif polish:
+                    polish_left[r] -= 1
+                    beta[r] = beta[r] + direction[r]
+                    T[r] = X @ beta[r]
+                    np.copyto(T[r], 0.0, where=dead[r])
+                    obj[r] = (c[r] * family.nll(y[r], T[r])).sum()
+                elif rough[r]:
+                    # a float32 factor never decides a stall: try again from
+                    # here with a float64 one
+                    retry[r], basin[r] = True, False
                 else:
-                    # No decrease at any step length. On a held factor, try
-                    # again from here with a fresh one.
-                    if not fresh[r]:
-                        retry[r] = True
-                        continue
-                    # On a fresh one the objective is at its float floor.
-                    # Inside the quadratic basin a full Newton step still
-                    # contracts the gradient, so take it (at most three
-                    # times) and let the gradient test decide; else a stall.
-                    small_step = float(np.linalg.norm(direction[r])) <= 1e-2 * (
-                        1.0 + float(np.linalg.norm(beta[r]))
-                    )
-                    if polish_left[r] > 0 and grad_norm[r] < 1e-3 and small_step:
-                        polish_left[r] -= 1
-                        beta[r] = beta[r] + direction[r]
-                        T[r] = X @ beta[r]
-                        np.copyto(T[r], 0.0, where=dead[r])
-                        obj[r] = (c[r] * family.nll(y[r], T[r])).sum()
-                    else:
-                        done[r] = FitStatus.MAX_ITER
+                    done[r] = FitStatus.MAX_ITER
 
         if done:
             rows = np.fromiter(done, dtype=int, count=len(done))
@@ -483,6 +557,6 @@ def _refit_block(
             if not keep.any():
                 return
             beta, y, T, obj = beta[keep], y[keep], T[keep], obj[keep]
-            c, dead, lift = c[keep], dead[keep], lift[keep]
-            idx, polish_left, retry = idx[keep], polish_left[keep], retry[keep]
+            c, terms, dead, lift = c[keep], terms[keep], dead[keep], lift[keep]
+            idx, polish_left, retry, basin = idx[keep], polish_left[keep], retry[keep], basin[keep]
             held = [L for L, k in zip(held, keep.tolist()) if k]

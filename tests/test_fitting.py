@@ -9,10 +9,12 @@ from resizedboot import (
     DatasetError,
     FitResult,
     FitStatus,
+    classical_se,
     fit_mle,
     get_family,
     newton_fit,
     refit_many,
+    sloe_estimate,
 )
 
 from conftest import simulate_logistic
@@ -565,3 +567,104 @@ def test_refreshing_refit_many_does_not_depend_on_blocking(monkeypatch):
         part = refit_many(data.X, Y, data.family, beta)
         assert part.statuses == whole.statuses
         np.testing.assert_allclose(part.betas, whole.betas, rtol=0, atol=1e-8)
+
+
+# --------------------------- the objective's float floor and float32 step Hessians
+
+def test_fit_at_its_float_floor_tries_no_step_halving():
+    # replicate 7's objective stops resolving decreases before its gradient
+    # passes the test. The reference loop scans every halving there, and
+    # rounding lets some through; the engine skips the scan below the float
+    # floor and polishes, and ends where the reference does
+    family = get_family("poisson-log")
+    X, Y, beta0, _ = _engine_cases("poisson-log")[0]
+    ref = reference_newton_fit(X, Y[7], family, beta0=beta0[7])
+    assert ref.status is FitStatus.CONVERGED and _ends_at_float_floor(ref)
+    for fits in (refit_many(X, Y[7], family, beta0[7]), refit_many(X, Y, family, beta0)):
+        b = 0 if fits.betas.shape[0] == 1 else 7
+        assert fits.halvings[b] == 0
+        assert fits.statuses[b] is ref.status
+        np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
+    # a fit that must search still counts the step lengths it tried
+    X, Y, beta0, _ = _engine_cases("poisson-log")[4]
+    assert refit_many(X, Y, family, beta0).halvings.min() > 0
+
+
+def test_float32_step_hessians_leave_every_read_factor_float64(monkeypatch):
+    # replicates inside the basin step on float32 Hessians; every factor a
+    # caller reads is formed in float64 at convergence, so what SLOE and the
+    # classical intervals see agrees with exact float64 Newton steps
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family("poisson-log")
+    rng = np.random.default_rng(23)
+    n, p = 300, 20
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) / np.sqrt(p)])
+    beta = np.concatenate([[0.5], 1.5 * rng.standard_normal(p - 1)])
+    data = Dataset(X=X, y=family.simulate(X @ beta, rng), family=family, has_intercept=True)
+    Y = np.array([family.simulate(X @ beta, rng) for _ in range(30)])
+    precisions = []
+    real = fitting._hessian
+
+    def recorded(X, w, rows=None):
+        precisions.append(X.dtype)
+        return real(X, w, rows)
+
+    monkeypatch.setattr(fitting, "_hessian", recorded)
+
+    def run():
+        precisions.clear()
+        fit = fit_mle(data)
+        factors = {}
+        fits = refit_many(
+            X, Y, family, fit.beta_hat,
+            on_converged=lambda b, t, chol: factors.setdefault(b, chol),
+        )
+        return fit, fits, factors, set(precisions)
+
+    fit, fits, factors, formed = run()
+    assert np.dtype(np.float32) in formed
+    monkeypatch.setattr(fitting, "_REFRESH", 1)
+    exact_fit, exact_fits, exact_factors, formed = run()
+    assert formed == {np.dtype(np.float64)}
+    assert fits.statuses == exact_fits.statuses
+    assert FitStatus.CONVERGED in fits.statuses
+    assert factors.keys() == exact_factors.keys()
+    for chol, exact in [(fit.chol, exact_fit.chol)] + [
+        (factors[b], exact_factors[b]) for b in factors
+    ]:
+        assert chol.dtype == np.float64
+        # the fits stop at the same gradient tolerance, not at the same bits
+        assert np.linalg.norm(chol - exact) <= 1e-9 * np.linalg.norm(exact)
+    np.testing.assert_allclose(classical_se(fit), classical_se(exact_fit), rtol=1e-9)
+    assert sloe_estimate(data, fit).eta_hat == pytest.approx(
+        sloe_estimate(data, exact_fit).eta_hat, rel=1e-9
+    )
+
+
+def test_float32_factor_near_collinearity_is_formed_again_in_float64(monkeypatch):
+    # two columns 1e-3 apart leave float32 pivots below _PIVOT_RTOL32 of
+    # their diagonal: those factors are dropped, the passes step on float64
+    # ones, and the fits end where the exact Newton reference does
+    monkeypatch.setattr(fitting, "_PAIRS_BYTES", 0)
+    family = get_family("logistic")
+    rng = np.random.default_rng(3)
+    n, p = 200, 4
+    X = rng.standard_normal((n, p)) / 2
+    X[:, 3] = X[:, 2] + 1e-3 * rng.standard_normal(n)
+    Y = np.array([family.simulate(X @ np.array([1.0, -1.0, 0.5, 0.5]), rng) for _ in range(8)])
+    dropped = []
+    real = fitting._factor
+
+    def recorded(H):
+        L = real(H)
+        if H.dtype == np.float32:
+            dropped.append(L is None)
+        return L
+
+    monkeypatch.setattr(fitting, "_factor", recorded)
+    fits = refit_many(X, Y, family, np.zeros(p))
+    assert dropped and all(dropped)
+    for b in range(Y.shape[0]):
+        ref = reference_newton_fit(X, Y[b], family)
+        assert fits.statuses[b] is ref.status is FitStatus.CONVERGED
+        np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)

@@ -29,7 +29,15 @@ from .bootstrap import (
     resize,
     run_bootstrap,
 )
-from .designs import DesignSpec, gen_coefficients, gen_covariates, gen_response
+from .designs import (
+    _COEF_STREAM,
+    _X_STREAM,
+    _Y_STREAM,
+    DesignSpec,
+    gen_coefficients,
+    gen_covariates,
+    gen_response,
+)
 from .exceptions import ResizedBootError, TooManyFailuresError
 from .fitting import Dataset, FitResult, FitStatus, fit_mle
 from .intervals import (
@@ -44,7 +52,6 @@ from .rng import child_seed, substream
 from .serialize import SCHEMA_VERSION
 from .signal_strength import GammaCurve, estimate_gamma, sd_linear_predictor
 
-_X_STREAM, _Y_STREAM = 1, 2
 # stage k of infer draws from child_seed(seed, k, *key)
 _GAMMA_KEY, _BOOT_KEY, _PARAM_KEY, _PAIRS_KEY = 3, 4, 5, 6
 _PAIRS_STREAM = 31
@@ -157,7 +164,7 @@ class Inference:
         if method == "boot-g":
             return boot_g_ci(self.fit, self.summary, level)
         if method == "boot-t":
-            return boot_t_ci(self.fit, self.summary, self.resized, level)
+            return boot_t_ci(self.fit, self.summary, self.resized.beta_star, level)
         ci = boot_g_ci(self.fit, self.baselines[method], level)
         return IntervalSet(lo=ci.lo, hi=ci.hi, level=ci.level, method=method)
 
@@ -447,7 +454,7 @@ def run_coverage(
     check_methods(methods, levels, B)
     run = _Run(
         design=design,
-        beta_true=gen_coefficients(design, substream(design.seed, 0)),
+        beta_true=gen_coefficients(design, substream(design.seed, _COEF_STREAM)),
         methods=methods,
         levels=levels,
         B=B,
@@ -482,7 +489,7 @@ def run_bias_sd_study(
     report has no levels, and ``format_bias_sd_table`` prints it."""
     run = _Run(
         design=design,
-        beta_true=gen_coefficients(design, substream(design.seed, 0)),
+        beta_true=gen_coefficients(design, substream(design.seed, _COEF_STREAM)),
         methods=("boot-g",),
         levels=(),
         B=B,

@@ -9,7 +9,7 @@ column variance is unwieldy.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -19,6 +19,7 @@ from .exceptions import DatasetError
 from .families import get_family
 from .fitting import Dataset
 from .rng import substream
+from .serialize import SCHEMA_VERSION
 from .signal_strength import sd_linear_predictor
 
 _COEF_STREAM, _X_STREAM, _Y_STREAM = 0, 1, 2
@@ -126,7 +127,7 @@ class DesignSpec:
 
     def to_json_dict(self) -> dict:
         d = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "p": self.p,
             "covariates": asdict(self.covariates),
@@ -138,23 +139,58 @@ class DesignSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "DesignSpec":
-        cov_d = dict(d["covariates"])
-        coef_d = dict(d["coefficients"])
-        cov_cls = _COVARIATE_TYPES[cov_d.pop("kind")]
-        coef_cls = _COEFFICIENT_TYPES[coef_d.pop("kind")]
+        """The design that ``to_json_dict`` wrote. A missing, unknown or
+        non-numeric field, or an unknown ``kind``, raises DatasetError."""
+        _require("design", d, ["n", "p", "covariates", "coefficients", "family", "seed"])
+        try:
+            n, p, seed = (int(d[name]) for name in ("n", "p", "seed"))
+        except (TypeError, ValueError):
+            raise DatasetError("design fields 'n', 'p' and 'seed' must be integers") from None
         return DesignSpec(
-            n=int(d["n"]),
-            p=int(d["p"]),
-            covariates=cov_cls(**cov_d),
-            coefficients=coef_cls(**coef_d),
+            n=n,
+            p=p,
+            covariates=_part_from_json("covariates", d["covariates"], _COVARIATE_TYPES),
+            coefficients=_part_from_json("coefficients", d["coefficients"], _COEFFICIENT_TYPES),
             family=d["family"],
-            seed=int(d["seed"]),
+            seed=seed,
         )
 
     @staticmethod
     def from_json_file(path) -> "DesignSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return DesignSpec.from_json_dict(json.load(fh))
+
+
+def _require(what: str, d, names) -> None:
+    """DatasetError unless ``d`` is a JSON object with every field in ``names``."""
+    if not isinstance(d, dict):
+        raise DatasetError(f"{what} must be a JSON object")
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise DatasetError(f"{what} lacks the field {missing[0]!r}")
+
+
+def _part_from_json(what: str, d, types: dict):
+    """The covariate or coefficient spec of ``types`` that ``asdict`` wrote."""
+    _require(what, d, ["kind"])
+    kind = d["kind"]
+    cls = types.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DatasetError(f"{what} kind {kind!r} is not one of {sorted(types)}")
+    what = f"{what} of kind {kind!r}"
+    spec = {k: v for k, v in d.items() if k != "kind"}
+    init = {f.name: f for f in fields(cls) if f.init}
+    _require(what, spec, [name for name, f in init.items() if f.default is MISSING])
+    for name, value in spec.items():
+        if name not in init:
+            raise DatasetError(f"{what} has no field {name!r}")
+        # every field is a number (the annotations are strings here)
+        integer = init[name].type == "int"
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise DatasetError(
+                f"{what}: field {name!r} must be {'an integer' if integer else 'a number'}"
+            )
+    return cls(**spec)
 
 
 def circulant_covariance(p: int, rho: float = 0.5) -> np.ndarray:

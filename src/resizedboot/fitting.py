@@ -19,28 +19,27 @@ status, Newton iteration count, final gradient norm and the number of step
 lengths it tried beyond its full steps. The parametric, resized and pairs
 bootstraps and the signal-strength curve refit through it; a pairs replicate
 is a fit of ``X`` with each row weighted by the number of times it was
-drawn. ``newton_fit`` (so ``fit_mle``) is its one-response case. One
-response never builds the column-pair table that stacks a block's Hessians,
-and it tries its step halvings one at a time where a block tries all of a
-row's halvings in one product.
+drawn. ``newton_fit`` (so ``fit_mle``) is its one-response case, which
+builds no column-pair table to stack Hessians; every other rule is the same
+for one response and for a block.
 
 How a fit steps is keyed to the size of ``X`` alone. Where a block can
 stack its Hessians (``_stacks_hessians``), every fit takes exact Newton
 steps. Elsewhere every fit, ``newton_fit`` included, re-forms its Hessian
 only every third iteration and steps on the factor it holds in between
 (Shamanskii's modified Newton method). There, once a fit has accepted a
-full step, it forms those Hessians and their factors in float32: they only
-set a direction, and the gradient, the objective, the line search and every
-test stay float64. A Hessian is factored at convergence only for a caller
-that reads the factor, and always in float64. Adjacent replicates whose
-curvature rows are equal share one Hessian, as logistic and Poisson
-replicates do at their common start, and a weighted replicate's Hessian
-sums only its rows of positive weight.
+full step, it forms those Hessians and their factors in float32 until one
+such factor is dropped: they only set a direction, and the gradient, the
+objective, the line search and every test stay float64. A Hessian is
+factored at convergence only for a caller that reads the factor, and always
+in float64. Adjacent replicates whose curvature rows are equal share one
+Hessian, as logistic and Poisson replicates do at their common start, and a
+weighted replicate's Hessian sums only its rows of positive weight.
 
-A fit whose full step fails to decrease the objective scans its step
-halvings, except where the step's predicted decrease is below what the float
-sum of the objective resolves, and what follows no decrease would not end
-the fit.
+A fit whose full step fails to decrease the objective tries its step
+halvings one at a time, longest first, except where the step's predicted
+decrease is below what the float sum of the objective resolves, and what
+follows no decrease would not end the fit.
 """
 
 from __future__ import annotations
@@ -159,8 +158,12 @@ def _hessian(X: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
 _PIVOT_RTOL = 1e-11
 # The same for a float32 Hessian, whose eps is 6e-8: a pivot this small
 # leaves a direction with few correct digits, so the factor is dropped and
-# the Hessian formed again in float64, which alone decides singularity.
-_PIVOT_RTOL32 = 1e-5
+# the Hessian formed again in float64, which alone decides singularity. A
+# fit then ends at the gradient test along a direction float32 barely
+# resolves: with two logistic columns 2e-3 apart the smallest ratio was
+# 1.6e-5, and float32 steps ended 2.2e-5 from exact Newton's coefficients;
+# 2e-2 apart it was 1.6e-3, and they ended 5.9e-9 from them.
+_PIVOT_RTOL32 = 1e-3
 
 
 def _factor(H: np.ndarray) -> np.ndarray | None:
@@ -316,22 +319,25 @@ def refit_many(
     ``X``; the direction is solved, and every objective, gradient and test
     evaluated, in float64. A float32 factor that fails, or has a pivot at
     or below ``_PIVOT_RTOL32`` of its diagonal, is replaced by the float64
-    one. When no step length along a held or float32 factor's direction
-    decreases the objective, the replicate takes its next pass with a fresh
-    Hessian at the same iterate, in float64 after a float32 factor; a stall
-    happens only on a fresh float64 factor.
+    one, and that replicate forms no float32 Hessian again. When no step
+    length along a held or float32 factor's direction decreases the
+    objective, the replicate takes its next pass with a fresh Hessian at the
+    same iterate, in float64 after a float32 factor; a stall happens only on
+    a fresh float64 factor.
 
-    A replicate that fails its full step skips the step-halving scan when
-    the step's predicted decrease is below what the float sum of its
+    A replicate that fails its full step tries its step halvings one at a
+    time, longest first, as the reference loop in tests/oracles.py does,
+    and takes the first that decreases the objective. It skips that scan
+    when the step's predicted decrease is below what the float sum of its
     objective resolves, and what follows no decrease (a fresh factor, or a
     polish step) would not end its fit. ``Refits.halvings`` counts the step
     lengths each replicate tried beyond its full steps.
 
-    Where each replicate forms its own Hessians, a replicate whose
-    curvature row equals that of the replicate before it shares that one's
-    Hessian and factor; in the first pass this carries across blocks.
-    Logistic and Poisson curvature does not depend on the response, so
-    replicates that start together share their first one.
+    A replicate whose curvature row equals that of the replicate before it
+    shares that one's Hessian and factor, whether Hessians are stacked or
+    not; in the first pass this carries across blocks. Logistic and Poisson
+    curvature does not depend on the response, so replicates that start
+    together share their first one.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -352,32 +358,21 @@ def refit_many(
         grad_norm=np.full(m, np.inf),
         halvings=np.zeros(m, dtype=int),
     )
-    # A row that fails the full Newton step tries its step halvings in one
-    # product. A single response builds no pair table, which would cost more
-    # than its few Hessians save, and tries its halvings one at a time,
-    # longest first, as the reference loop in tests/oracles.py does; where
-    # its steps are exact, its results then match that loop's to the bit
-    # until its objective reaches its float floor.
-    halvings = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
-    if m == 1:
-        pairs, halvings = None, halvings[:, None]
-    else:
-        pairs = _column_pairs(X) if _stacks_hessians(n, p) else None
-        halvings = halvings[None]
+    # A single response builds no pair table, which would cost more than its
+    # few Hessians save.
+    stacks = _stacks_hessians(n, p)
+    pairs = _column_pairs(X) if stacks and m > 1 else None
     # Where a block stacks its Hessians, refresh costs more in Newton passes
     # than it saves in Hessians: a pareto-small infer took 1.46 s with it
     # and 1.27 s without. Only refreshing fits form float32 Hessians, from
     # one float32 copy of X per call.
-    refresh = 1 if _stacks_hessians(n, p) else _REFRESH
+    refresh = 1 if stacks else _REFRESH
     X32 = X.astype(np.float32) if refresh > 1 else None
     rows = _lockstep_rows(n, p)
     start = [None, None]  # key and factor of the last first-pass Hessian
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
-        _refit_block(
-            X, X32, Y, weights, family, pairs, halvings, fits, idx, on_converged,
-            refresh, start,
-        )
+        _refit_block(X, X32, Y, weights, family, pairs, fits, idx, on_converged, refresh, start)
     return fits
 
 
@@ -392,18 +387,15 @@ def refit_many(
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _refit_block(
-    X, X32, Y, C, family, pairs, halvings, fits, idx, on_converged, refresh, start
-):
+def _refit_block(X, X32, Y, C, family, pairs, fits, idx, on_converged, refresh, start):
     """Lockstep Newton over replicates ``idx``; writes their results back.
-    ``C`` holds the replicates' weights. Each row of ``halvings`` holds step
-    lengths below 1 that are tried in one product, longest first. A
-    stepping replicate forms a fresh factor at iterations divisible by
-    ``refresh``, and after a step on its held or float32 factor failed; a
-    converged one forms one for ``on_converged``. Given ``X32``, a float32
-    copy of ``X``, the step Hessians of a replicate inside the basin are
-    float32. ``start`` carries the key and factor of the last first-pass
-    Hessian from block to block."""
+    ``C`` holds the replicates' weights. A stepping replicate forms a fresh
+    factor at iterations divisible by ``refresh``, and after a step on its
+    held or float32 factor failed; a converged one forms one for
+    ``on_converged``. Given ``X32``, a float32 copy of ``X``, a replicate
+    inside the basin forms float32 step Hessians until one is dropped.
+    ``pairs`` stacks the Hessians that are not shared, and ``start`` carries
+    the key and factor of the last first-pass Hessian from block to block."""
     n, p = X.shape
     beta = fits.betas[idx]
     y = Y[idx]
@@ -417,10 +409,12 @@ def _refit_block(
     T = beta @ X.T
     np.copyto(T, 0.0, where=dead)
     obj = (c * family.nll(y, T)).sum(axis=1)
+    halvings = 0.5 ** np.arange(1, _MAX_HALVINGS + 1)
     polish_left = np.full(idx.size, 3)
-    held = [None] * idx.size  # each refreshing replicate's latest Cholesky factor
+    held = np.empty(idx.size, dtype=object)  # each replicate's latest Cholesky factor
     retry = np.zeros(idx.size, dtype=bool)  # a step on a held or float32 factor failed
     basin = np.zeros(idx.size, dtype=bool)  # a full step was accepted
+    only64 = np.zeros(idx.size, dtype=bool)  # a float32 factor was dropped
     for it in range(_MAX_ITER + 1):
         G = (c * family.d1(y, T)) @ X
         grad_norm = np.linalg.norm(G, axis=1)
@@ -433,63 +427,68 @@ def _refit_block(
             )
         conv = ~sep & (grad_norm <= _TOL)
         stepping = ~sep & ~conv & (it < _MAX_ITER)
-        done = dict.fromkeys(np.flatnonzero(sep).tolist(), FitStatus.SEPARABLE)
-        done.update(dict.fromkeys(
-            np.flatnonzero(~(sep | conv | stepping)).tolist(), FitStatus.MAX_ITER
-        ))
+        end = np.full(idx.size, None, dtype=object)  # the status of each row that ends
+        end[sep] = FitStatus.SEPARABLE
+        end[~(sep | conv | stepping)] = FitStatus.MAX_ITER
 
         # Fresh factors: the Newton system of each stepping row due one, the
         # post-convergence check of each converged one if the caller reads it.
         fresh = stepping & (retry | (it % refresh == 0)) | conv & (on_converged is not None)
         need = np.flatnonzero(fresh)
+        held[need] = None  # replaced below; a block holds one factor per row
         W = c[need] * family.d2(y[need], T[need])
-        if pairs is not None:
-            stacked = _stacked_hessians(X, pairs, W)
+        # a step Hessian inside the basin is formed in float32
+        f32 = stepping[need] & basin[need] & ~only64[need] & (X32 is not None)
+        # A row whose key (ridge or not, float32 or not, curvature row)
+        # equals the one before shares its factor, as the replicates of a
+        # chunk or a knot do at their common start.
+        flags = stepping[need] + 2 * f32
+        shared = np.zeros(need.size, dtype=bool)
+        shared[1:] = (flags[1:] == flags[:-1]) & (W[1:] == W[:-1]).all(axis=1)
         last, L = start if it == 0 else (None, None)
+        if need.size and last is not None:
+            shared[0] = flags[0] == last[0] and np.array_equal(W[0], last[1])
+        if pairs is not None:
+            stacked = iter(_stacked_hessians(X, pairs, W[~shared]))
         rough = np.zeros(idx.size, dtype=bool)  # stepping on a float32 factor
         single = False  # whether L came from a float32 Hessian
         direction = np.zeros((idx.size, p))
         for k, r in enumerate(need.tolist()):
-            ridge = None if conv[r] else _RIDGE
-            # a step Hessian inside the basin is formed in float32
-            f32 = ridge is not None and X32 is not None and bool(basin[r])
-            if pairs is not None:
-                L = _cholesky(stacked[k], ridge)
-            elif (key := (ridge, f32, W[k].tobytes())) != last:
-                # a row equal to the one before shares its factor, as the
-                # replicates of a chunk or a knot do at their common start
-                last = key
-                rows = np.flatnonzero(~dead[r]) if dead[r].any() else None
-                L = _factor(_hessian(X32, W[k], rows)) if f32 else None
-                single = L is not None
-                if L is None:
-                    L = _cholesky(_hessian(X, W[k], rows), ridge)
+            if not shared[k]:
+                ridge = _RIDGE if stepping[r] else None
+                if pairs is not None:
+                    L = _cholesky(next(stacked), ridge)
+                else:
+                    rows = np.flatnonzero(~dead[r]) if dead[r].any() else None
+                    L = _factor(_hessian(X32, W[k], rows)) if f32[k] else None
+                    single = L is not None
+                    if L is None:
+                        L = _cholesky(_hessian(X, W[k], rows), ridge)
+            if f32[k]:
+                only64[r] = not single
             if L is None:
-                done[r] = FitStatus.SINGULAR_HESSIAN
+                end[r] = FitStatus.SINGULAR_HESSIAN
             elif conv[r]:
-                done[r] = FitStatus.CONVERGED
+                end[r] = FitStatus.CONVERGED
                 on_converged(int(idx[r]), T[r], L)
             else:
                 direction[r] = linalg.lapack.dpotrs(L, -G[r], lower=1)[0]
                 rough[r] = single
-                if refresh > 1:
-                    held[r] = L
-        if it == 0:
-            start[:] = last, L
+                held[r] = L
+        if it == 0 and need.size:
+            start[:] = (flags[-1], W[-1].copy()), L
         retry[fresh] = False
         if on_converged is None:
-            done.update(dict.fromkeys(np.flatnonzero(conv).tolist(), FitStatus.CONVERGED))
-        trial = np.array(
-            [r for r in np.flatnonzero(stepping).tolist() if r not in done], dtype=int
-        )
+            end[conv] = FitStatus.CONVERGED
+        trial = np.flatnonzero(stepping & np.equal(end, None))
         for r in trial[~fresh[trial]].tolist():
             direction[r] = linalg.lapack.dpotrs(held[r], -G[r], lower=1)[0]
 
         # Line search: every row tries the full step, and a row that fails
-        # it tries its halvings and takes the longest that decreases the
-        # objective; the accepted predictor and objective carry over to the
-        # next pass. An overflowing trial step fails the decrease test, so
-        # the overflow warning carries no signal.
+        # it tries its halvings, longest first, and takes the first that
+        # decreases the objective; the accepted predictor and objective carry
+        # over to the next pass. An overflowing trial step fails the decrease
+        # test, so the overflow warning carries no signal.
         with np.errstate(over="ignore"):
             cand = beta[trial] + direction[trial]
             T_cand = cand @ X.T
@@ -512,51 +511,45 @@ def _refit_block(
                 # Below the objective's float floor (see _EPS) the scan is
                 # skipped, unless finding no decrease would end the fit.
                 ends = fresh[r] and not rough[r] and not polish
-                found = False
-                if ends or -G[r] @ direction[r] > _EPS * terms[r] * abs(obj[r]):
-                    for steps in halvings:
-                        fits.halvings[idx[r]] += steps.size
-                        cand = beta[r] + steps[:, None] * direction[r]
-                        T_cand = cand @ X.T
-                        np.copyto(T_cand, 0.0, where=dead[r])
-                        obj_cand = (c[r] * family.nll(y[r], T_cand)).sum(axis=1)
-                        hit = np.flatnonzero(obj_cand < obj[r])
-                        if hit.size:
-                            h = hit[0]
-                            beta[r], T[r], obj[r] = cand[h], T_cand[h], obj_cand[h]
-                            found = True
-                            break
-                if found:
-                    continue
-                # No decrease at any step length. On a held factor, try again
-                # from here with a fresh one.
-                if not fresh[r]:
-                    retry[r] = True
-                elif polish:
-                    polish_left[r] -= 1
-                    beta[r] = beta[r] + direction[r]
-                    T[r] = X @ beta[r]
-                    np.copyto(T[r], 0.0, where=dead[r])
-                    obj[r] = (c[r] * family.nll(y[r], T[r])).sum()
-                elif rough[r]:
-                    # a float32 factor never decides a stall: try again from
-                    # here with a float64 one
-                    retry[r], basin[r] = True, False
+                scan = ends or -G[r] @ direction[r] > _EPS * terms[r] * abs(obj[r])
+                for step in halvings if scan else ():
+                    fits.halvings[idx[r]] += 1
+                    cand = beta[r] + step * direction[r]
+                    T_cand = X @ cand
+                    np.copyto(T_cand, 0.0, where=dead[r])
+                    obj_cand = (c[r] * family.nll(y[r], T_cand)).sum()
+                    if obj_cand < obj[r]:
+                        beta[r], T[r], obj[r] = cand, T_cand, obj_cand
+                        break
                 else:
-                    done[r] = FitStatus.MAX_ITER
+                    # No decrease at any step length. On a held factor, try
+                    # again from here with a fresh one.
+                    if not fresh[r]:
+                        retry[r] = True
+                    elif polish:
+                        polish_left[r] -= 1
+                        beta[r] = beta[r] + direction[r]
+                        T[r] = X @ beta[r]
+                        np.copyto(T[r], 0.0, where=dead[r])
+                        obj[r] = (c[r] * family.nll(y[r], T[r])).sum()
+                    elif rough[r]:
+                        # a float32 factor never decides a stall: try again
+                        # from here with a float64 one
+                        retry[r], basin[r] = True, False
+                    else:
+                        end[r] = FitStatus.MAX_ITER
 
-        if done:
-            rows = np.fromiter(done, dtype=int, count=len(done))
+        keep = np.equal(end, None)
+        if not keep.all():
+            rows = np.flatnonzero(~keep)
             fits.betas[idx[rows]] = beta[rows]
             fits.n_iter[idx[rows]] = it
             fits.grad_norm[idx[rows]] = grad_norm[rows]
-            for r, status in done.items():
-                fits.statuses[idx[r]] = status
-            keep = np.ones(idx.size, dtype=bool)
-            keep[rows] = False
+            for b, status in zip(idx[rows].tolist(), end[rows].tolist()):
+                fits.statuses[b] = status
             if not keep.any():
                 return
             beta, y, T, obj = beta[keep], y[keep], T[keep], obj[keep]
             c, terms, dead, lift = c[keep], terms[keep], dead[keep], lift[keep]
-            idx, polish_left, retry, basin = idx[keep], polish_left[keep], retry[keep], basin[keep]
-            held = [L for L, k in zip(held, keep.tolist()) if k]
+            idx, polish_left, retry = idx[keep], polish_left[keep], retry[keep]
+            held, basin, only64 = held[keep], basin[keep], only64[keep]

@@ -20,7 +20,7 @@ from .exceptions import InsufficientBootstrapError
 from .fitting import FitResult, FitStatus
 
 if TYPE_CHECKING:
-    from .bootstrap import BootstrapSummary, ResizedCoefficients
+    from .bootstrap import BootstrapSummary
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def check_boot_t_replicates(n_boot: int, level: float) -> None:
 def boot_t_ci(
     fit: FitResult,
     summary: "BootstrapSummary",
-    beta_star: "ResizedCoefficients | np.ndarray",
+    beta_star: np.ndarray,
     level: float,
 ) -> IntervalSet:
     """Bootstrap-t interval from empirical pivot quantiles.
@@ -146,8 +146,7 @@ def boot_t_ci(
     level = _check_level(level)
     if summary.alpha_hat <= 0:
         raise ValueError(f"alpha_hat must be positive; got {summary.alpha_hat}")
-    bs = getattr(beta_star, "beta_star", beta_star)
-    bs = np.asarray(bs, dtype=np.float64)
+    bs = np.asarray(beta_star, dtype=np.float64)
     q = 1.0 - level
     check_boot_t_replicates(summary.boot_mles.shape[0], level)
     pivots = (summary.boot_mles - summary.alpha_hat * bs) / summary.sigma_hat

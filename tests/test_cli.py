@@ -336,6 +336,41 @@ def test_unknown_design_rejected(tmp_path, capsys):
     assert "florp" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+_DESIGN_JSON = {
+    "schema_version": 1, "n": 120, "p": 4,
+    "covariates": {"kind": "gaussian"},
+    "coefficients": {"kind": "mixture", "k": 2, "mu": 2.0, "sd": 0.5},
+    "family": "logistic", "seed": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "command, design, message",
+    [
+        ("simulate", {**_DESIGN_JSON, "covariates": {"kind": "nope"}},
+         "covariates kind 'nope' is not one of"),
+        ("simulate", {**_DESIGN_JSON, "covariates": {"kind": "gaussian", "rho": 2}},
+         "covariates of kind 'gaussian' has no field 'rho'"),
+        ("coverage", {"n": 50}, "design lacks the field 'p'"),
+        ("simulate", {**_DESIGN_JSON, "covariates": {"kind": "mvt", "nu": "8"}},
+         "field 'nu' must be a number"),
+        ("simulate", {**_DESIGN_JSON, "coefficients": {"kind": "mixture", "k": 2.5}},
+         "field 'k' must be an integer"),
+        ("simulate", {**_DESIGN_JSON, "n": None}, "'n', 'p' and 'seed' must be integers"),
+    ],
+    ids=["unknown-kind", "unexpected-field", "missing-fields", "text-number",
+         "fractional-count", "null-size"],
+)
+def test_malformed_design_file_errors_as_json(command, design, message, tmp_path, capsys):
+    spec_path = tmp_path / "design.json"
+    spec_path.write_text(json.dumps(design))
+    rc = main([command, "--design", str(spec_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DatasetError"
+    assert message in err["message"]
+
+
 def test_simulate_then_infer_recovers_truth(tmp_path):
     sim_dir = tmp_path / "sim"
     assert main(["simulate", "--design", "pareto-small", "--out", str(sim_dir),
@@ -382,14 +417,8 @@ def test_curve_command_draws_the_curve_of_infer(tmp_path):
 
 
 def test_coverage_command_runs_and_reports(tmp_path, capsys):
-    design = {
-        "schema_version": 1, "n": 120, "p": 4,
-        "covariates": {"kind": "gaussian"},
-        "coefficients": {"kind": "mixture", "k": 2, "mu": 2.0, "sd": 0.5},
-        "family": "logistic", "seed": 0,
-    }
     spec_path = tmp_path / "design.json"
-    spec_path.write_text(json.dumps(design))
+    spec_path.write_text(json.dumps(_DESIGN_JSON))
     out = tmp_path / "cov"
     rc = main(["coverage", "--design", str(spec_path), "--out", str(out),
                "--seed", "5", "--n-reps", "3", "--B", "40",

@@ -16,6 +16,7 @@ from resizedboot import (
     gen_response,
     scaled_to_gamma,
 )
+from resizedboot.designs import _COEF_STREAM, _X_STREAM, _Y_STREAM
 from resizedboot.rng import substream
 from resizedboot.serialize import fmt
 
@@ -37,10 +38,10 @@ def main() -> None:
         family="logistic", seed=args.seed,
     )
     beta = scaled_to_gamma(
-        spec, gen_coefficients(spec, substream(args.seed, 0)), args.gamma
+        spec, gen_coefficients(spec, substream(args.seed, _COEF_STREAM)), args.gamma
     )
-    X = gen_covariates(spec, substream(args.seed, 1))
-    y = gen_response(X, beta, "logistic", substream(args.seed, 2))
+    X = gen_covariates(spec, substream(args.seed, _X_STREAM))
+    y = gen_response(X, beta, "logistic", substream(args.seed, _Y_STREAM))
     data = Dataset(X=X, y=y, family="logistic")
     curve = estimate_gamma(
         data, fit_mle(data), grid_size=args.grid, reps=args.reps, seed=args.seed

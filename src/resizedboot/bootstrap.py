@@ -5,8 +5,9 @@ estimated signal strength (never inflating: the scale is clamped at 1).
 ``run_bootstrap`` holds X fixed, simulates B response vectors at the resized
 coefficients, refits each, and reduces the surviving replicates to the
 per-coordinate spread sigma_hat and the common inflation factor alpha_hat.
-``refit_replicates`` is that refit-and-reduce loop, which the pairs
-bootstrap shares with weighted replicates.
+``refit_replicates`` is that refit-and-reduce step, which the pairs
+bootstrap shares with weighted replicates: one ``refit_many`` call for all
+B replicates, which draws each lockstep block's responses as it reaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .rng import substream
 from .signal_strength import sd_linear_predictor
 
 _BOOT_STREAM = 29  # spawn-key namespace for per-replicate substreams
-_RESPONSE_BYTES = 1 << 18  # simulated responses held at once
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,16 @@ def run_bootstrap(
     """Simulate B datasets at beta_star, refit each, and summarise.
 
     Replicate b draws its responses from its own substream, so its MLE
-    depends neither on B nor on the chunking of ``refit_replicates``, which
-    refits them and reduces the survivors.
+    depends neither on B nor on the lockstep blocks of ``refit_many``, which
+    draws them a block at a time; ``refit_replicates`` refits them and
+    reduces the survivors.
     """
     beta_star = np.asarray(resized.beta_star, dtype=np.float64)
     t_star = data.X @ beta_star
 
-    def draw(bs):
+    def draw(idx):
         Y = np.array([
-            data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b)) for b in bs
+            data.family.simulate(t_star, substream(seed, _BOOT_STREAM, b)) for b in idx
         ])
         return Y, None
 
@@ -161,10 +162,11 @@ def refit_replicates(
     """Refit B bootstrap replicates from ``beta0`` and summarise them
     against it.
 
-    ``draw(bs)`` gives the responses and the weights (None for unit
-    weights) of the replicates in the range ``bs``, as ``refit_many`` takes
-    them. The replicates are drawn and refitted in chunks of about
-    ``_RESPONSE_BYTES`` of responses. No Hessian is factored at
+    ``draw(idx)`` gives the responses and the weights (None for unit
+    weights) of the replicates ``idx``, as ``refit_many`` takes them. All B
+    are refitted in one call, which draws them a lockstep block at a time,
+    so each bootstrap builds its column-pair table, its float32 copy of
+    ``X`` and its shared start factor once. No Hessian is factored at
     convergence, so a converged replicate is one whose gradient norm
     reached the tolerance. Failed replicates (separable or non-converged)
     are discarded and counted, never retried. More than
@@ -174,18 +176,9 @@ def refit_replicates(
     """
     if B < 2:
         raise ValueError("B must be at least 2")
-    chunk = max(1, _RESPONSE_BYTES // (8 * data.n))
-    kept = []
-    for lo in range(0, B, chunk):
-        Y, weights = draw(range(lo, min(lo + chunk, B)))
-        fits = refit_many(data.X, Y, data.family, beta0, weights=weights)
-        kept.extend(
-            beta for beta, status in zip(fits.betas, fits.statuses)
-            if status is FitStatus.CONVERGED
-        )
-    n_failed = B - len(kept)
+    fits = refit_many(data.X, data.family, beta0, B, draw)
+    kept = fits.betas[[status is FitStatus.CONVERGED for status in fits.statuses]]
+    n_failed = B - kept.shape[0]
     if n_failed > fail_fraction * B:
         raise TooManyFailuresError(n_failed, B, context=context)
-    return summarize_bootstrap(
-        np.asarray(kept), beta0, n_failed, has_intercept=data.has_intercept
-    )
+    return summarize_bootstrap(kept, beta0, n_failed, has_intercept=data.has_intercept)

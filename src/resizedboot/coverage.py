@@ -126,9 +126,9 @@ def baseline_bootstraps(
     if mode != "pairs":
         raise ValueError(f"unknown baseline mode {mode!r}")
 
-    def draw(bs):
+    def draw(idx):
         counts = np.array(
-            [np.bincount(pairs_indices(seed, b, data.n), minlength=data.n) for b in bs],
+            [np.bincount(pairs_indices(seed, b, data.n), minlength=data.n) for b in idx],
             dtype=np.float64,
         )
         return np.broadcast_to(data.y, counts.shape), counts

@@ -140,19 +140,19 @@ class DesignSpec:
     @staticmethod
     def from_json_dict(d: dict) -> "DesignSpec":
         """The design that ``to_json_dict`` wrote. A missing, unknown or
-        non-numeric field, or an unknown ``kind``, raises DatasetError."""
+        mistyped field, or an unknown ``kind``, raises DatasetError."""
         _require("design", d, ["n", "p", "covariates", "coefficients", "family", "seed"])
-        try:
-            n, p, seed = (int(d[name]) for name in ("n", "p", "seed"))
-        except (TypeError, ValueError):
-            raise DatasetError("design fields 'n', 'p' and 'seed' must be integers") from None
+        for name in ("n", "p", "seed"):
+            if isinstance(d[name], bool) or not isinstance(d[name], int):
+                raise DatasetError(f"design field {name!r} is {d[name]!r}; "
+                                   "'n', 'p' and 'seed' must be integers")
         return DesignSpec(
-            n=n,
-            p=p,
+            n=d["n"],
+            p=d["p"],
             covariates=_part_from_json("covariates", d["covariates"], _COVARIATE_TYPES),
             coefficients=_part_from_json("coefficients", d["coefficients"], _COEFFICIENT_TYPES),
             family=d["family"],
-            seed=seed,
+            seed=d["seed"],
         )
 
     @staticmethod

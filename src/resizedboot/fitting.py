@@ -14,14 +14,15 @@ The solver has no options: its tolerance ``_TOL``, budgets ``_MAX_ITER``
 and ``_MAX_HALVINGS``, ``_RIDGE`` and separability thresholds are constants.
 
 There is one Newton engine: ``refit_many`` fits many response vectors
-against one shared ``X`` in lockstep blocks, and reports each replicate's
-status, Newton iteration count, final gradient norm and the number of step
-lengths it tried beyond its full steps. The parametric, resized and pairs
-bootstraps and the signal-strength curve refit through it; a pairs replicate
-is a fit of ``X`` with each row weighted by the number of times it was
-drawn. ``newton_fit`` (so ``fit_mle``) is its one-response case, which
-builds no column-pair table to stack Hessians; every other rule is the same
-for one response and for a block.
+against one shared ``X`` in lockstep blocks, drawing each block's responses
+as it reaches it, and reports each replicate's status, Newton iteration
+count, final gradient norm and the number of step lengths it tried beyond
+its full steps. The parametric, resized and pairs bootstraps and the
+signal-strength curve refit through it; a pairs replicate is a fit of ``X``
+with each row weighted by the number of times it was drawn. ``newton_fit``
+(so ``fit_mle``) is its one-response case, which builds no column-pair
+table to stack Hessians; every other rule is the same for one response and
+for a block.
 
 How a fit steps is keyed to the size of ``X`` alone. Where a block can
 stack its Hessians (``_stacks_hessians``), every fit takes exact Newton
@@ -201,7 +202,8 @@ def newton_fit(
     one-row case of ``refit_many``, from ``beta0`` or zero."""
     end = {}
     fits = refit_many(
-        X, y, family, np.zeros(np.shape(X)[1]) if beta0 is None else beta0,
+        X, family, np.zeros(np.shape(X)[1]) if beta0 is None else beta0,
+        1, lambda idx: (np.atleast_2d(y), None),
         on_converged=lambda b, t, chol: end.update(eta_lin=t, chol=chol),
     )
     return FitResult(
@@ -278,25 +280,27 @@ class Refits(NamedTuple):
 
 def refit_many(
     X: np.ndarray,
-    Y: np.ndarray,
     family: Family,
     beta0: np.ndarray,
+    m: int,
+    draw,
     *,
-    weights: np.ndarray | None = None,
     on_converged=None,
 ) -> Refits:
-    """Fit every row of ``Y`` against the shared ``X`` by damped Newton.
+    """Fit m replicates against the shared ``X`` by damped Newton.
 
-    ``beta0`` is one start for all or one row each. ``weights``, an (m, n)
-    array of non-negative weights with one row per replicate, scales each
-    observation's term in that replicate's objective, gradient and Hessian:
-    integer weights c_i fit each row of ``X`` c_i times over, as a
-    pairs-bootstrap resample does. A row of weight 0 adds exactly 0, even
-    where its term would overflow, and stays out of the Hessian products.
-    By default every weight is 1.
+    ``beta0`` is one start for all or one row each. Replicates run in
+    lockstep blocks of ``_lockstep_rows(n, p)``, about ``_BLOCK_BYTES`` of
+    working arrays, the one bound on the replicates held at once:
+    ``draw(idx)`` is called once per block of replicates ``idx`` and gives
+    their (len(idx), n) responses and non-negative weights, None for unit
+    weights. A weight scales its observation's term in the replicate's
+    objective, gradient and Hessian: integer weights c_i fit each row of
+    ``X`` c_i times over, as a pairs-bootstrap resample does. A row of
+    weight 0 adds exactly 0, even where its term would overflow, and stays
+    out of the Hessian products.
 
-    Replicates run in lockstep blocks of about ``_BLOCK_BYTES`` of working
-    arrays and leave their block as they finish. Each one ends as SEPARABLE
+    Replicates leave their block as they finish. Each one ends as SEPARABLE
     (binary families: every margin of a row of positive weight is positive,
     a coefficient norm above ``_SEPARABLE_BETA_NORM``, or an objective below
     ``_SEPARABLE_OBJECTIVE`` times the total weight), CONVERGED (gradient
@@ -340,17 +344,7 @@ def refit_many(
     together share their first one.
     """
     X = np.asarray(X, dtype=np.float64)
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     n, p = X.shape
-    m = Y.shape[0]
-    if weights is None:
-        # times 1.0 is exact, so unit weights keep the unweighted bits; a full
-        # array multiplies about twice as fast as a broadcast (m, 1) column
-        weights = np.ones((m, n))
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (m, n) or not (weights >= 0.0).all():
-            raise ValueError(f"weights must be a non-negative ({m}, {n}) array")
     fits = Refits(
         betas=np.array(np.broadcast_to(np.asarray(beta0, dtype=np.float64), (m, p))),
         statuses=[FitStatus.MAX_ITER] * m,
@@ -372,7 +366,17 @@ def refit_many(
     start = [None, None]  # key and factor of the last first-pass Hessian
     for lo in range(0, m, rows):
         idx = np.arange(lo, min(lo + rows, m))
-        _refit_block(X, X32, Y, weights, family, pairs, fits, idx, on_converged, refresh, start)
+        y, c = draw(idx)
+        y = np.asarray(y, dtype=np.float64)
+        if c is None:
+            # times 1.0 is exact, so unit weights keep the unweighted bits; a full
+            # array multiplies about twice as fast as a broadcast (rows, 1) column
+            c = np.ones((idx.size, n))
+        else:
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape != (idx.size, n) or not (c >= 0.0).all():
+                raise ValueError(f"weights must be a non-negative ({idx.size}, {n}) array")
+        _refit_block(X, X32, y, c, family, pairs, fits, idx, on_converged, refresh, start)
     return fits
 
 
@@ -387,19 +391,17 @@ def refit_many(
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _refit_block(X, X32, Y, C, family, pairs, fits, idx, on_converged, refresh, start):
-    """Lockstep Newton over replicates ``idx``; writes their results back.
-    ``C`` holds the replicates' weights. A stepping replicate forms a fresh
-    factor at iterations divisible by ``refresh``, and after a step on its
-    held or float32 factor failed; a converged one forms one for
-    ``on_converged``. Given ``X32``, a float32 copy of ``X``, a replicate
+def _refit_block(X, X32, y, c, family, pairs, fits, idx, on_converged, refresh, start):
+    """Lockstep Newton over replicates ``idx``, with responses ``y`` and
+    weights ``c``, one row each; writes their results back. A stepping
+    replicate forms a fresh factor at iterations divisible by ``refresh``,
+    and after a step on its held or float32 factor failed; a converged one
+    forms one for ``on_converged``. Given ``X32``, a float32 copy of ``X``, a replicate
     inside the basin forms float32 step Hessians until one is dropped.
     ``pairs`` stacks the Hessians that are not shared, and ``start`` carries
     the key and factor of the last first-pass Hessian from block to block."""
     n, p = X.shape
     beta = fits.betas[idx]
-    y = Y[idx]
-    c = C[idx]
     terms = c.sum(axis=1)
     # A row of weight 0 adds c * f = 0 to every sum as long as f is finite,
     # so its predictor is held at 0, where no family term overflows; its
@@ -441,7 +443,7 @@ def _refit_block(X, X32, Y, C, family, pairs, fits, idx, on_converged, refresh, 
         f32 = stepping[need] & basin[need] & ~only64[need] & (X32 is not None)
         # A row whose key (ridge or not, float32 or not, curvature row)
         # equals the one before shares its factor, as the replicates of a
-        # chunk or a knot do at their common start.
+        # bootstrap or a knot do at their common start.
         flags = stepping[need] + 2 * f32
         shared = np.zeros(need.size, dtype=bool)
         shared[1:] = (flags[1:] == flags[:-1]) & (W[1:] == W[:-1]).all(axis=1)

@@ -174,7 +174,8 @@ def estimate_gamma(
         except ResizedBootError:
             pass
 
-    refit_many(data.X, Y, data.family, beta0, on_converged=record)
+    refit_many(data.X, data.family, beta0, len(Y), lambda idx: (Y[idx], None),
+               on_converged=record)
     eta_samples = etas.reshape(grid_size, reps)
 
     keep = ~np.isnan(eta_samples)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import resizedboot.bootstrap as bootstrap
 import resizedboot.fitting as fitting
 from resizedboot import (
     Dataset,
@@ -133,13 +132,11 @@ def test_bootstrap_determinism_and_shape(small_fit):
 
 def test_bootstrap_replicates_do_not_depend_on_b_or_blocking(small_fit, monkeypatch):
     # replicate b's MLE is the same whether B is 31 or 24, and whether the
-    # replicates are refitted in one lockstep block or in blocks of 1 or 7,
-    # simulated in one chunk or in chunks of 5
+    # replicates are refitted in one lockstep block or in blocks of 1 or 7
     data, _, fit = small_fit
     rz = resize(fit, 0.8 * sd_linear_predictor(data.X, fit.beta_hat), data.X)
     whole = run_bootstrap(data, rz, B=31, seed=11)
     assert whole.n_failed == 0
-    monkeypatch.setattr(bootstrap, "_RESPONSE_BYTES", 5 * 8 * data.n)
     for rows in (1, 7):
         monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
         part = run_bootstrap(data, rz, B=24, seed=11)
@@ -147,6 +144,61 @@ def test_bootstrap_replicates_do_not_depend_on_b_or_blocking(small_fit, monkeypa
         np.testing.assert_allclose(
             part.boot_mles, whole.boot_mles[:24], rtol=0, atol=1e-10
         )
+
+
+def _bootstrap_of_size(n, p, B):
+    data, _ = simulate_logistic(n, p, seed=4)
+    fit = fit_mle(data)
+    rz = resize(fit, 0.8 * sd_linear_predictor(data.X, fit.beta_hat), data.X)
+    return data, lambda: run_bootstrap(data, rz, B=B, seed=3)
+
+
+def test_bootstrap_refits_whole_lockstep_blocks(monkeypatch):
+    # the engine draws each block itself, so every block of a bootstrap but
+    # the last is full: at n=1000, p=100 blocks hold 21 replicates, and 50
+    # replicates run as 21 + 21 + 8
+    data, run = _bootstrap_of_size(1000, 100, B=50)
+    blocks = []
+    real = fitting._refit_block
+
+    def recorded(*args):
+        blocks.append(args[7].size)  # the block's replicate numbers
+        return real(*args)
+
+    monkeypatch.setattr(fitting, "_refit_block", recorded)
+    assert run().n_failed == 0
+    full = fitting._lockstep_rows(data.n, data.p)
+    assert blocks == [full, full, 50 - 2 * full]
+
+
+def test_unit_weight_bootstrap_forms_one_float64_start_hessian(monkeypatch):
+    # logistic curvature does not depend on the response, so all replicates
+    # share one start Hessian across their blocks; every later step Hessian
+    # here is inside the basin, so float32
+    data, run = _bootstrap_of_size(1000, 100, B=50)
+    assert not fitting._stacks_hessians(data.n, data.p)
+    precisions = []
+    real = fitting._hessian
+
+    def recorded(X, w, rows=None):
+        precisions.append(X.dtype)
+        return real(X, w, rows)
+
+    monkeypatch.setattr(fitting, "_hessian", recorded)
+    assert run().n_failed == 0
+    assert precisions.count(np.dtype(np.float64)) == 1
+    assert len(precisions) > 50
+
+
+def test_stacked_bootstrap_builds_one_pair_table(monkeypatch):
+    data, run = _bootstrap_of_size(200, 5, B=200)
+    assert fitting._stacks_hessians(data.n, data.p)
+    assert fitting._lockstep_rows(data.n, data.p) < 200  # more than one block
+    tables = []
+    real = fitting._column_pairs
+    monkeypatch.setattr(fitting, "_column_pairs", lambda X: tables.append(X) or real(X))
+    assert run().n_failed == 0
+    assert len(tables) == 1
 
 
 def test_bootstrap_rejects_tiny_b(small_fit):

@@ -357,9 +357,13 @@ _DESIGN_JSON = {
         ("simulate", {**_DESIGN_JSON, "coefficients": {"kind": "mixture", "k": 2.5}},
          "field 'k' must be an integer"),
         ("simulate", {**_DESIGN_JSON, "n": None}, "'n', 'p' and 'seed' must be integers"),
+        ("simulate", {**_DESIGN_JSON, "n": 120.9}, "design field 'n' is 120.9"),
+        ("simulate", {**_DESIGN_JSON, "seed": 0.5}, "design field 'seed' is 0.5"),
+        ("simulate", {**_DESIGN_JSON, "p": True}, "design field 'p' is True"),
     ],
     ids=["unknown-kind", "unexpected-field", "missing-fields", "text-number",
-         "fractional-count", "null-size"],
+         "fractional-count", "null-size", "fractional-size", "fractional-seed",
+         "bool-size"],
 )
 def test_malformed_design_file_errors_as_json(command, design, message, tmp_path, capsys):
     spec_path = tmp_path / "design.json"

@@ -29,6 +29,11 @@ from oracles import (
 # point warning from a fit is a fault.
 
 
+def _rows(Y, C=None):
+    """A ``refit_many`` draw of the rows of responses Y and weights C."""
+    return lambda idx: (Y[idx], None if C is None else C[idx])
+
+
 @contextmanager
 def _solver(monkeypatch, constants):
     """fitting's solver constants (names to values) set inside the block,
@@ -246,7 +251,7 @@ def test_refit_many_matches_newton_fit(family_name, stacked, monkeypatch):
         factors = {}
         with _solver(monkeypatch, solver):
             fits = refit_many(
-                X, Y, family, beta0,
+                X, family, beta0, len(Y), _rows(Y),
                 on_converged=lambda b, t, chol: factors.setdefault(b, (t, chol)),
             )
             for b in range(Y.shape[0]):
@@ -287,12 +292,12 @@ def test_refit_many_does_not_depend_on_blocking():
     data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
     rng = np.random.default_rng(6)
     Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(23)])
-    whole = refit_many(data.X, Y, data.family, beta)
+    whole = refit_many(data.X, data.family, beta, len(Y), _rows(Y))
     assert all(s is FitStatus.CONVERGED for s in whole.statuses)
     for size in (1, 7):
         parts = [
-            refit_many(data.X, Y[lo:lo + size], data.family, beta).betas
-            for lo in range(0, Y.shape[0], size)
+            refit_many(data.X, data.family, beta, len(part), _rows(part)).betas
+            for part in np.split(Y, range(size, Y.shape[0], size))
         ]
         np.testing.assert_allclose(np.vstack(parts), whole.betas, rtol=0, atol=1e-10)
 
@@ -343,11 +348,13 @@ def test_stacked_hessians_are_formed_only_where_read(monkeypatch):
         return real(X, pairs, W)
 
     monkeypatch.setattr(fitting, "_stacked_hessians", counted)
-    fits = refit_many(data.X, Y, data.family, beta)
+    fits = refit_many(data.X, data.family, beta, len(Y), _rows(Y))
     assert set(fits.statuses) == {FitStatus.CONVERGED}
     assert sum(formed) == fits.n_iter.sum() - 8
     formed.clear()
-    fits = refit_many(data.X, Y, data.family, beta, on_converged=lambda b, t, chol: None)
+    fits = refit_many(
+        data.X, data.family, beta, len(Y), _rows(Y), on_converged=lambda b, t, chol: None
+    )
     assert set(fits.statuses) == {FitStatus.CONVERGED}
     assert sum(formed) == (fits.n_iter + 1).sum() - 8
 
@@ -396,7 +403,7 @@ def test_weighted_refit_many_matches_resampled_fits(family_name, stacked, monkey
         assert not counts[:, 0].any()
         with _solver(monkeypatch, solver):
             fits = refit_many(
-                X, np.broadcast_to(y, counts.shape), family, beta0, weights=counts
+                X, family, beta0, len(counts), _rows(np.broadcast_to(y, counts.shape), counts)
             )
             for b, rows in enumerate(idx):
                 ref = reference_newton_fit(X[rows], y[rows], family, beta0=beta0)
@@ -420,8 +427,8 @@ def test_unit_weights_change_no_bit(family_name, monkeypatch):
     family = get_family(family_name)
     for X, Y, beta0, solver in _engine_cases(family_name):
         with _solver(monkeypatch, solver):
-            plain = refit_many(X, Y, family, beta0)
-            unit = refit_many(X, Y, family, beta0, weights=np.ones(Y.shape))
+            plain = refit_many(X, family, beta0, len(Y), _rows(Y))
+            unit = refit_many(X, family, beta0, len(Y), _rows(Y, np.ones(Y.shape)))
         assert np.array_equal(unit.betas, plain.betas)
         assert unit.statuses == plain.statuses
         assert np.array_equal(unit.n_iter, plain.n_iter)
@@ -432,7 +439,7 @@ def test_refit_many_rejects_bad_weights():
     Y = np.stack([data.y, data.y])
     for weights in (np.ones((2, 49)), -np.ones((2, 50))):
         with pytest.raises(ValueError, match="weights"):
-            refit_many(data.X, Y, data.family, beta, weights=weights)
+            refit_many(data.X, data.family, beta, len(Y), _rows(Y, weights))
 
 
 # ------------------------ Hessians refreshed every _REFRESH iterations vs the reference
@@ -463,7 +470,7 @@ def test_refreshing_refit_many_matches_newton_fit(family_name, monkeypatch):
         factors = {}
         with _solver(monkeypatch, solver):
             fits = refit_many(
-                X, Y, family, beta0, weights=weights,
+                X, family, beta0, len(Y), _rows(Y, weights),
                 on_converged=lambda b, t, chol: factors.setdefault(b, chol),
             )
             for b in range(Y.shape[0]):
@@ -518,7 +525,7 @@ def test_refreshing_block_shares_its_start_hessian(family_name, formed, monkeypa
             # the start Hessian carries across blocks as well
             monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
         calls.clear()
-        fits = refit_many(data.X, Y, family, beta)
+        fits = refit_many(data.X, family, beta, len(Y), _rows(Y))
         assert set(fits.statuses) == {FitStatus.MAX_ITER}
         assert len(calls) == formed
 
@@ -545,7 +552,8 @@ def test_weighted_hessians_skip_undrawn_rows(monkeypatch):
     counts = np.random.default_rng(3).multinomial(200, np.full(200, 1 / 200), size=4)
     calls = _count_hessians(monkeypatch)
     refit_many(
-        data.X, np.broadcast_to(data.y, counts.shape), data.family, beta, weights=counts
+        data.X, data.family, beta, len(counts),
+        _rows(np.broadcast_to(data.y, counts.shape), counts),
     )
     assert calls == [int((c > 0).sum()) for c in counts]
     assert max(calls) < 200
@@ -561,12 +569,12 @@ def test_refreshing_refit_many_does_not_depend_on_blocking(monkeypatch):
     data, beta = simulate_logistic(200, 5, seed=4, scale=1.5)
     rng = np.random.default_rng(6)
     Y = np.array([data.family.simulate(data.X @ beta, rng) for _ in range(23)])
-    whole = refit_many(data.X, Y, data.family, beta)
+    whole = refit_many(data.X, data.family, beta, len(Y), _rows(Y))
     assert all(s is FitStatus.CONVERGED for s in whole.statuses)
     assert whole.n_iter.max() > 3  # some replicates refresh their factor
     for rows in (1, 5, 7):
         monkeypatch.setattr(fitting, "_lockstep_rows", lambda n, p: rows)
-        part = refit_many(data.X, Y, data.family, beta)
+        part = refit_many(data.X, data.family, beta, len(Y), _rows(Y))
         assert part.statuses == whole.statuses
         np.testing.assert_allclose(part.betas, whole.betas, rtol=0, atol=1e-8)
 
@@ -582,14 +590,17 @@ def test_fit_at_its_float_floor_tries_no_step_halving():
     X, Y, beta0, _ = _engine_cases("poisson-log")[0]
     ref = reference_newton_fit(X, Y[7], family, beta0=beta0[7])
     assert ref.status is FitStatus.CONVERGED and _ends_at_float_floor(ref)
-    for fits in (refit_many(X, Y[7], family, beta0[7]), refit_many(X, Y, family, beta0)):
+    for fits in (
+        refit_many(X, family, beta0[7], 1, _rows(Y[7:8])),
+        refit_many(X, family, beta0, len(Y), _rows(Y)),
+    ):
         b = 0 if fits.betas.shape[0] == 1 else 7
         assert fits.halvings[b] == 0
         assert fits.statuses[b] is ref.status
         np.testing.assert_allclose(fits.betas[b], ref.beta_hat, rtol=0, atol=1e-6)
     # a fit that must search still counts the step lengths it tried
     X, Y, beta0, _ = _engine_cases("poisson-log")[4]
-    assert refit_many(X, Y, family, beta0).halvings.min() > 0
+    assert refit_many(X, family, beta0, len(Y), _rows(Y)).halvings.min() > 0
 
 
 def test_float32_step_hessians_leave_every_read_factor_float64(monkeypatch):
@@ -618,7 +629,7 @@ def test_float32_step_hessians_leave_every_read_factor_float64(monkeypatch):
         fit = fit_mle(data)
         factors = {}
         fits = refit_many(
-            X, Y, family, fit.beta_hat,
+            X, family, fit.beta_hat, len(Y), _rows(Y),
             on_converged=lambda b, t, chol: factors.setdefault(b, chol),
         )
         return fit, fits, factors, set(precisions)
@@ -664,7 +675,7 @@ def test_float32_factor_near_collinearity_is_formed_again_in_float64(monkeypatch
         return L
 
     monkeypatch.setattr(fitting, "_factor", recorded)
-    fits = refit_many(X, Y, family, np.zeros(p))
+    fits = refit_many(X, family, np.zeros(p), len(Y), _rows(Y))
     assert dropped and all(dropped)
     for b in range(Y.shape[0]):
         ref = reference_newton_fit(X, Y[b], family)
@@ -694,7 +705,7 @@ def test_float32_factor_of_an_ill_conditioned_design_is_dropped_once(monkeypatch
         return L
 
     monkeypatch.setattr(fitting, "_factor", recorded)
-    fits = refit_many(X, Y, family, np.zeros(p))
+    fits = refit_many(X, family, np.zeros(p), len(Y), _rows(Y))
     assert dropped and all(dropped)
     assert len(dropped) <= Y.shape[0]
     for b in range(Y.shape[0]):

@@ -176,13 +176,13 @@ def test_knot_with_all_failed_replicates_is_dropped(monkeypatch):
     grid_size, reps = 6, 2
     real = ss.refit_many
 
-    def flaky(X, Y, family, beta0, *, on_converged, **kw):
+    def flaky(X, family, beta0, m, draw, *, on_converged, **kw):
         # the curve learns of a converged replicate only through the callback
         def report(b, t, chol):
             if b // reps != 2:  # every replicate of knot 2 fails
                 on_converged(b, t, chol)
 
-        return real(X, Y, family, beta0, on_converged=report, **kw)
+        return real(X, family, beta0, m, draw, on_converged=report, **kw)
 
     monkeypatch.setattr(ss, "refit_many", flaky)
     curve = estimate_gamma(data, fit, grid_size=grid_size, reps=reps, seed=77)
